@@ -40,7 +40,7 @@ from .qlinalg import (
     outer,
     spectral_projections,
 )
-from .quat import ImaginaryUnit, matmul4, mul4
+from .quat import ImaginaryUnit, conj4, matmul4, mul4
 from .report import Check
 
 SV_CUTOFF = 1e-9
@@ -107,8 +107,15 @@ def _nullspace_rows(constraint: np.ndarray, cutoff: float,
     """Rows spanning the nullspace; singular values below cutoff times the
     problem scale count as zero.  The scale is the larger of the top
     singular value and the generator magnitude, so that a constraint that
-    is numerically zero (scalar generators) yields the full space."""
-    _, svals, vh = np.linalg.svd(constraint, full_matrices=True)
+    is numerically zero (scalar generators) yields the full space.
+
+    The economy SVD returns only as many right singular vectors as the
+    constraint has rows, so a wide constraint is padded with zero rows
+    first; the padding leaves its nullspace unchanged."""
+    rows, cols = constraint.shape
+    if rows < cols:
+        constraint = np.concatenate([constraint, np.zeros((cols - rows, cols))])
+    _, svals, vh = np.linalg.svd(constraint, full_matrices=False)
     top = svals[0] if svals.size else 0.0
     threshold = cutoff * max(top, scale)
     if threshold == 0.0:
@@ -197,26 +204,37 @@ def center(algebra: StarAlgebra, tol: float = SV_CUTOFF) -> CommutantBasis:
     return CommutantBasis(basis, rows)
 
 
-def generated_algebra(algebra: StarAlgebra, cutoff: float = SV_CUTOFF,
-                      max_rounds: int = 64) -> CommutantBasis:
-    """Real span of the unital *-algebra generated by the generators,
-    obtained by multiplicative closure of an orthonormal spanning set."""
-    n = algebra.n
-    stack = np.stack([vec(g) for g in algebra.generators])
+def _row_span(stack: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal rows spanning the rows of stack, dropping singular values
+    below cutoff relative to the largest."""
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    rows = vh[svals > cutoff * svals[0]]
-    for _ in range(max_rounds):
-        mats = rows.reshape(-1, n, n, 4)
-        products = matmul4(mats[:, None], mats[None, :]).reshape(-1, 4 * n * n)
-        stacked = np.concatenate([rows, products])
-        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        new_rows = vh[svals > cutoff * svals[0]]
+    return vh[svals > cutoff * svals[0]]
+
+
+def generated_algebra(algebra: StarAlgebra,
+                      cutoff: float = SV_CUTOFF) -> CommutantBasis:
+    """Real span of the unital *-algebra generated by the generators.
+
+    Krylov-style closure: starting from the span of the generators (which
+    include the identity and are closed under the adjoint), each round
+    left-multiplies the current orthonormal spanning set by the generators
+    and re-orthonormalises.  The span of all words in the generators is
+    reached once a round adds no rank.  Every round before that one raises
+    the rank, so at most 4n^2 rounds are needed.
+    """
+    n = algebra.n
+    gens = np.stack([g.data for g in algebra.generators])
+    rows = _row_span(gens.reshape(len(gens), -1), cutoff)
+    for _ in range(4 * n * n):
+        products = matmul4(gens[:, None], rows.reshape(1, -1, n, n, 4))
+        new_rows = _row_span(
+            np.concatenate([rows, products.reshape(-1, 4 * n * n)]), cutoff)
         if new_rows.shape[0] == rows.shape[0]:
-            rows = new_rows
-            break
+            basis = [unvec(r, n) for r in new_rows]
+            return CommutantBasis(basis, new_rows)
         rows = new_rows
-    basis = [unvec(rows[k], n) for k in range(rows.shape[0])]
-    return CommutantBasis(basis, rows)
+    raise InternalInconsistency(
+        f"generated algebra did not close within {4 * n * n} rounds")
 
 
 def subspace_gap(a: CommutantBasis, b: CommutantBasis) -> float:
@@ -233,10 +251,13 @@ def subspace_gap(a: CommutantBasis, b: CommutantBasis) -> float:
 # irreducibility and classification
 
 
-def _selfadjoint_spread(t: QMatrix) -> float:
-    chi = complex_embed(t)
-    vals = np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))
-    return float(vals[-1] - vals[0])
+def _spread_exceeds(stack: np.ndarray, cutoff: float) -> np.ndarray:
+    """For each (n, n, 4) component array in stack: whether its selfadjoint
+    part has a spectral spread beyond cutoff times max(1, its norm)."""
+    sym = 0.5 * (stack + conj4(np.swapaxes(stack, -3, -2)))
+    vals = np.linalg.eigvalsh(complex_embed(sym))
+    scale = np.maximum(1.0, np.linalg.norm(sym.reshape(len(sym), -1), axis=1))
+    return vals[:, -1] - vals[:, 0] > cutoff * scale
 
 
 def is_irreducible(algebra: StarAlgebra, cutoff: float = GAP_CUTOFF,
@@ -247,38 +268,28 @@ def is_irreducible(algebra: StarAlgebra, cutoff: float = GAP_CUTOFF,
     yields a nontrivial invariant projection, so the commutant basis is
     scanned through its selfadjoint parts together with random selfadjoint
     combinations; a spectral spread beyond the cutoff flags reducibility.
+    All candidates are embedded and diagonalised as one batch.
     """
     comm = algebra.commutant_basis()
-    candidates = [(b + b.H) * 0.5 for b in comm.basis]
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        coeffs = rng.standard_normal(comm.dim_r)
-        mix = QMatrix.zeros(algebra.n)
-        for c, b in zip(coeffs, comm.basis):
-            mix = mix + b * float(c)
-        candidates.append((mix + mix.H) * 0.5)
-    for s in candidates:
-        scale = max(1.0, s.frob())
-        if _selfadjoint_spread(s) > cutoff * scale:
-            return False
-    return True
+    basis = comm.mat.reshape(-1, algebra.n, algebra.n, 4)
+    coeffs = np.random.default_rng(seed).standard_normal((samples, comm.dim_r))
+    mixes = np.einsum("sk,knmc->snmc", coeffs, basis)
+    return not _spread_exceeds(np.concatenate([basis, mixes]), cutoff).any()
 
 
 def reducibility_witness(algebra: StarAlgebra,
                          cutoff: float = GAP_CUTOFF) -> QMatrix | None:
     """A nontrivial commutant projection, if one exists."""
     comm = algebra.commutant_basis()
-    for b in comm.basis:
-        s = (b + b.H) * 0.5
-        if _selfadjoint_spread(s) > cutoff * max(1.0, s.frob()):
-            pairs = spectral_projections(s)
-            proj = pairs[0][1]
-            ident = QMatrix.identity(algebra.n)
-            if (proj.frob() > 0.5 and (proj - ident).frob() > 0.5):
-                return proj
-            for _, p in pairs[1:]:
-                if p.frob() > 0.5 and (p - ident).frob() > 0.5:
-                    return p
+    flagged = _spread_exceeds(
+        comm.mat.reshape(-1, algebra.n, algebra.n, 4), cutoff)
+    ident = QMatrix.identity(algebra.n)
+    for b, hit in zip(comm.basis, flagged):
+        if not hit:
+            continue
+        for _, p in spectral_projections((b + b.H) * 0.5):
+            if p.frob() > 0.5 and (p - ident).frob() > 0.5:
+                return p
     return None
 
 

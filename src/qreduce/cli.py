@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -91,11 +92,21 @@ def _parse_axis(text: str) -> ImaginaryUnit:
         raise UsageError(f"invalid imaginary-unit axis {text!r}") from exc
 
 
+def _finite_number(text: str) -> float | int:
+    """JSON number hook: overflowing literals such as 1e999 (which float()
+    turns into inf) and the NaN/Infinity constants are rejected."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return float(text) if any(c in text for c in ".eE") else int(text)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_float=_finite_number,
+                             parse_int=_finite_number,
+                             parse_constant=_finite_number)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 

@@ -254,14 +254,17 @@ def commutator_norm(a: QMatrix, b: QMatrix) -> float:
 # complex embedding
 
 
-def complex_embed(t: QMatrix, frame: Frame = STANDARD_FRAME) -> np.ndarray:
+def complex_embed(t: QMatrix | np.ndarray,
+                  frame: Frame = STANDARD_FRAME) -> np.ndarray:
     """Embed into the 2n x 2n complex matrices via the entrywise split
-    T = T1 + T2*j along the frame."""
+    T = T1 + T2*j along the frame.  A component array of shape
+    (..., n, n, 4) embeds as a stack of shape (..., 2n, 2n)."""
+    data = t.data if isinstance(t, QMatrix) else t
     rot = frame.rotation()
-    w = t.data[:, :, 0]
-    comps = t.data[:, :, 1:] @ rot.T
-    t1 = w + 1j * comps[:, :, 0]
-    t2 = comps[:, :, 1] + 1j * comps[:, :, 2]
+    w = data[..., 0]
+    comps = data[..., 1:] @ rot.T
+    t1 = w + 1j * comps[..., 0]
+    t2 = comps[..., 1] + 1j * comps[..., 2]
     return np.block([[t1, t2], [-t2.conj(), t1.conj()]])
 
 

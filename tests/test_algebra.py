@@ -12,8 +12,11 @@ import scipy.linalg
 
 from qreduce import sampling
 from qreduce.algebra import (
+    GAP_CUTOFF,
+    SV_CUTOFF,
     CommutantBasis,
     StarAlgebra,
+    _nullspace_rows,
     StateFunctional,
     bicommutant,
     center,
@@ -44,11 +47,12 @@ from qreduce.functors import restrict_to_plus
 from qreduce.qlinalg import (
     QMatrix,
     classify_operator,
+    complex_embed,
     expm_antiselfadjoint,
     outer,
     spectral_projections,
 )
-from qreduce.quat import UNIT_E1
+from qreduce.quat import UNIT_E1, matmul4
 
 
 def matrix_units(n: int) -> list[QMatrix]:
@@ -87,6 +91,57 @@ def test_mult_matrices_match_direct_products():
             left_mult_matrix(g) @ vec(t), vec(g @ t), atol=1e-12)
         np.testing.assert_allclose(
             right_mult_matrix(g) @ vec(t), vec(t @ g), atol=1e-12)
+
+
+def pairwise_closure(algebra: StarAlgebra) -> CommutantBasis:
+    """Reference closure: multiply every pair of spanning rows until the
+    span stops growing."""
+    n = algebra.n
+    stack = np.stack([vec(g) for g in algebra.generators])
+    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
+    rows = vh[svals > SV_CUTOFF * svals[0]]
+    while True:
+        mats = rows.reshape(-1, n, n, 4)
+        products = matmul4(mats[:, None], mats[None, :]).reshape(-1, 4 * n * n)
+        _, svals, vh = np.linalg.svd(np.concatenate([rows, products]),
+                                     full_matrices=False)
+        new_rows = vh[svals > SV_CUTOFF * svals[0]]
+        if new_rows.shape[0] == rows.shape[0]:
+            return CommutantBasis([unvec(r, n) for r in new_rows], new_rows)
+        rows = new_rows
+
+
+def loop_is_irreducible(algebra: StarAlgebra, cutoff: float = GAP_CUTOFF,
+                        samples: int = 32, seed: int = 0) -> bool:
+    """Reference scan: one candidate at a time, early exit on a spread."""
+    comm = algebra.commutant_basis()
+    candidates = [(b + b.H) * 0.5 for b in comm.basis]
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        coeffs = rng.standard_normal(comm.dim_r)
+        mix = QMatrix.zeros(algebra.n)
+        for c, b in zip(coeffs, comm.basis):
+            mix = mix + b * float(c)
+        candidates.append((mix + mix.H) * 0.5)
+    for cand in candidates:
+        chi = complex_embed(cand)
+        vals = np.linalg.eigvalsh(0.5 * (chi + chi.conj().T))
+        if vals[-1] - vals[0] > cutoff * max(1.0, cand.frob()):
+            return False
+    return True
+
+
+def test_nullspace_rows_of_wide_constraint():
+    rng = np.random.default_rng(40)
+    # rank-3 constraint on R^8 whose nullspace is the last five coordinates
+    constraint = np.zeros((3, 8))
+    constraint[:, :3] = rng.standard_normal((3, 3))
+    rows = _nullspace_rows(constraint, SV_CUTOFF, 1.0)
+    assert rows.shape == (5, 8)
+    np.testing.assert_allclose(rows @ rows.T, np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(rows[:, :3], 0.0, atol=1e-12)
+    # a numerically zero wide constraint leaves the whole space
+    assert _nullspace_rows(np.zeros((2, 6)), SV_CUTOFF, 1.0).shape == (6, 6)
 
 
 def test_commutant_of_matrix_units_is_scalar():
@@ -155,15 +210,31 @@ def test_bicommutant_full_and_membership():
 
 def test_bicommutant_equals_generated_algebra():
     rng = np.random.default_rng(5)
-    for n in (2, 3):
+    algebras = [block_diagonal_algebra(rng, 2)]
+    for n in (2, 3, 4):
         for planted in (sampling.plant_proper(rng, n),
                         sampling.plant_complex_induced(rng, n)[0],
                         sampling.plant_real_induced(rng, n)[0]):
-            algebra = StarAlgebra(planted)
-            bi = bicommutant(algebra)
-            gen = generated_algebra(algebra)
-            assert gen.dim_r == bi.dim_r
-            assert subspace_gap(gen, bi) <= 1e-8
+            algebras.append(StarAlgebra(planted))
+    for algebra in algebras:
+        bi = bicommutant(algebra)
+        gen = generated_algebra(algebra)
+        assert gen.dim_r == bi.dim_r
+        assert subspace_gap(gen, bi) <= 1e-8
+
+
+def test_generated_algebra_matches_pairwise_closure():
+    rng = np.random.default_rng(42)
+    algebras = [block_diagonal_algebra(rng, 2)]
+    for n in (2, 3, 4):
+        algebras.append(StarAlgebra(sampling.plant_proper(rng, n)))
+        algebras.append(StarAlgebra(sampling.plant_complex_induced(rng, n)[0]))
+        algebras.append(StarAlgebra(sampling.plant_real_induced(rng, n)[0]))
+    for algebra in algebras:
+        fast = generated_algebra(algebra)
+        reference = pairwise_closure(algebra)
+        assert fast.dim_r == reference.dim_r
+        assert subspace_gap(fast, reference) <= 1e-10
 
 
 def test_center_full_algebra():
@@ -212,6 +283,20 @@ def test_is_irreducible():
     assert is_irreducible(StarAlgebra(gens))
     gens, _, _ = sampling.plant_real_induced(rng, 2)
     assert is_irreducible(StarAlgebra(gens))
+
+
+def test_is_irreducible_matches_loop_reference():
+    rng = np.random.default_rng(43)
+    cases = [(block_diagonal_algebra(rng, half), False) for half in (1, 2, 3)]
+    for n in (2, 3, 4):
+        cases.append((StarAlgebra(sampling.plant_proper(rng, n)), True))
+        cases.append((StarAlgebra(sampling.plant_complex_induced(rng, n)[0]),
+                      True))
+        cases.append((StarAlgebra(sampling.plant_real_induced(rng, n)[0]),
+                      True))
+    for algebra, expected in cases:
+        assert loop_is_irreducible(algebra) is expected
+        assert is_irreducible(algebra) is expected
 
 
 def test_reducibility_witness_is_invariant_projection():

@@ -51,6 +51,15 @@ def test_verify_rejects_bad_dims(capsys):
     assert code == 2
 
 
+def test_verify_fails_property_without_checks(capsys):
+    code, report, _ = run_cli(capsys, "verify", "--seed", "1", "--dims", "1",
+                              "--trials", "2")
+    assert code == 1
+    assert report["status"] == "fail"
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["trichotomy/no_checks"]
+
+
 def test_verify_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, report, _ = run_cli(capsys, "verify", "--seed", "1", "--dims", "2",
@@ -121,6 +130,23 @@ def test_classify_malformed_file(tmp_path, capsys):
     path2.write_text(json.dumps({"n": 2, "generators": "nope"}))
     code, _, _ = run_cli(capsys, "classify", str(path2))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "reduce"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_input_rejected(tmp_path, capsys, command, literal):
+    rng = np.random.default_rng(7)
+    gens, _ = sampling.plant_complex_induced(rng, 2)
+    text = json.dumps(StarAlgebra(gens).to_json())
+    head, sep, tail = text.partition("[[[")
+    path = tmp_path / "hostile.json"
+    path.write_text(head + sep + literal + tail[tail.index(","):])
+    code, report, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"] == "usage"
+    assert "non-finite" in report["message"]
+    assert "Traceback" not in err
 
 
 def test_reduce_planted_file(tmp_path, capsys):

@@ -164,6 +164,16 @@ def test_embed_scalar_j():
     np.testing.assert_allclose(back.data, t.data, atol=1e-15)
 
 
+def test_embed_stack_matches_single():
+    rng = np.random.default_rng(41)
+    frame = frame_complete(sampling.imaginary_unit(rng))
+    mats = [sampling.qmatrix(rng, 3) for _ in range(5)]
+    stacked = complex_embed(np.stack([m.data for m in mats]), frame)
+    assert stacked.shape == (5, 6, 6)
+    for m, chi in zip(mats, stacked):
+        np.testing.assert_array_equal(chi, complex_embed(m, frame))
+
+
 def test_unembed_roundtrip_and_rejection():
     rng = np.random.default_rng(5)
     for _ in range(30):
