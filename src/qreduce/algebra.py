@@ -2,10 +2,14 @@
 
 The commutant is computed as a real-linear nullspace problem: matrices
 vectorize to R^(4n^2), each generator G contributes the real matrix of
-T -> GT - TG, and the commutant is the joint nullspace, extracted by a
-singular value decomposition with a relative cutoff.  Everything else
-(bicommutant, center, irreducibility, the R/C/H trichotomy of
-irreducible algebras and the reduction of complex-induced systems to
+T -> GT - TG, and the commutant is the joint nullspace of the stacked
+constraint.  The nullspace is found in two steps.  One symmetric
+eigendecomposition of the 4n^2 x 4n^2 Gram matrix settles every direction
+whose singular value lies far above the cutoff.  The constraint restricted
+to the few remaining candidate directions then decides them with the same
+relative cutoff that an SVD of the whole constraint would apply.
+Everything else (bicommutant, center, irreducibility, the R/C/H trichotomy
+of irreducible algebras and the reduction of complex-induced systems to
 their component space) is layered on top of that one primitive.
 """
 from __future__ import annotations
@@ -102,26 +106,61 @@ class CommutantBasis:
         return self.membership_residual(t) <= tol
 
 
+def _commutator_constraint(gens: np.ndarray) -> np.ndarray:
+    """Stacked real matrices of T -> G T - T G for a (k, n, n, 4) stack of
+    generators: shape (k 4n^2, 4n^2), the k blocks of
+    left_mult_matrix(G) - right_mult_matrix(G) built in one pass."""
+    k, n = gens.shape[0], gens.shape[1]
+    out = np.zeros((k, n, n, 4, n, n, 4))
+    diag = np.arange(n)
+    # (G T)[m, l] = sum_p G[m, p] T[p, l]
+    out[:, :, diag, :, :, diag, :] = np.einsum(
+        "abc,gmpa->gmcpb", _QTENSOR, gens)
+    # (T G)[m, l] = sum_p T[m, p] G[p, l]
+    out[:, diag, :, :, diag, :, :] -= np.einsum(
+        "abc,gplb->glcpa", _QTENSOR, gens)
+    return out.reshape(k * 4 * n * n, 4 * n * n)
+
+
 def _nullspace_rows(constraint: np.ndarray, cutoff: float,
                     scale: float) -> np.ndarray:
-    """Rows spanning the nullspace; singular values below cutoff times the
-    problem scale count as zero.  The scale is the larger of the top
-    singular value and the generator magnitude, so that a constraint that
-    is numerically zero (scalar generators) yields the full space.
+    """Orthonormal rows spanning the nullspace of constraint.
 
-    The economy SVD returns only as many right singular vectors as the
-    constraint has rows, so a wide constraint is padded with zero rows
-    first; the padding leaves its nullspace unchanged."""
-    rows, cols = constraint.shape
+    A direction counts as null when its singular value is at most
+    cutoff * max(top, scale), where top is the largest singular value and
+    scale the generator magnitude, so that a constraint that is
+    numerically zero (scalar generators) yields the full space.
+
+    Screen: one eigh of the Gram matrix constraint^T constraint.  An
+    eigenvalue above sqrt(cutoff) * max(top, scale)^2, i.e. a singular
+    value above cutoff^(1/4) times that reference, is settled as rank.
+    The Gram's rounding (about eps * top^2) lies far below the screen, so
+    it never decides a singular value near the threshold, and a screened
+    direction tilts the candidate eigenvectors by at most about
+    eps / sqrt(cutoff).  (A screen at cutoff * ref^2 would allow a tilt of
+    eps / cutoff, enough to move the identity out of a commutant by 1e-7
+    and to flip an irreducibility verdict.)
+
+    Decide: the constraint restricted to the candidate eigenvectors has a
+    Frobenius norm that bounds each of its singular values, so a norm
+    within the threshold makes every candidate null; otherwise an SVD of
+    the small restricted block applies the threshold.  That block is
+    padded with zero rows when it is wide, because the economy SVD returns
+    only as many right singular vectors as there are rows."""
+    evals, evecs = np.linalg.eigh(constraint.T @ constraint)
+    top = float(np.sqrt(max(evals[-1], 0.0)))
+    ref = max(top, scale)
+    threshold = cutoff * ref
+    candidates = evecs[:, evals <= np.sqrt(cutoff) * ref * ref]
+    block = constraint @ candidates
+    if np.linalg.norm(block) <= threshold:
+        return candidates.T
+    rows, cols = block.shape
     if rows < cols:
-        constraint = np.concatenate([constraint, np.zeros((cols - rows, cols))])
-    _, svals, vh = np.linalg.svd(constraint, full_matrices=False)
-    top = svals[0] if svals.size else 0.0
-    threshold = cutoff * max(top, scale)
-    if threshold == 0.0:
-        return vh
+        block = np.concatenate([block, np.zeros((cols - rows, cols))])
+    _, svals, vh = np.linalg.svd(block, full_matrices=False)
     rank = int(np.sum(svals > threshold))
-    return vh[rank:]
+    return vh[rank:] @ candidates.T
 
 
 def _commutant_of(mats: list[QMatrix], n: int,
@@ -129,8 +168,7 @@ def _commutant_of(mats: list[QMatrix], n: int,
     if not mats:
         rows = np.eye(4 * n * n)
     else:
-        constraint = np.concatenate(
-            [left_mult_matrix(g) - right_mult_matrix(g) for g in mats])
+        constraint = _commutator_constraint(np.stack([g.data for g in mats]))
         scale = max(g.frob() for g in mats)
         rows = _nullspace_rows(constraint, cutoff, scale)
     basis = [unvec(rows[k], n) for k in range(rows.shape[0])]

@@ -401,10 +401,9 @@ def prop_bicommutant(seed_seq, dims, trials, tol_scale):
 
 def prop_reduction(seed_seq, dims, trials, tol_scale):
     checks = []
-    usable = [n for n in dims if n in (2, 4)] or [2]
     count = max(2, trials // 20)
-    for d_idx, n in enumerate(usable):
-        rng = np.random.default_rng(seed_seq.spawn(len(usable))[d_idx])
+    for d_idx, n in enumerate(dims):
+        rng = np.random.default_rng(seed_seq.spawn(len(dims))[d_idx])
         worst: dict[str, Check] = {}
         for trial in range(count):
             gens, _ = sampling.plant_complex_induced(rng, n)

@@ -16,6 +16,7 @@ from qreduce.algebra import (
     SV_CUTOFF,
     CommutantBasis,
     StarAlgebra,
+    _commutator_constraint,
     _nullspace_rows,
     StateFunctional,
     bicommutant,
@@ -129,6 +130,146 @@ def loop_is_irreducible(algebra: StarAlgebra, cutoff: float = GAP_CUTOFF,
         if vals[-1] - vals[0] > cutoff * max(1.0, cand.frob()):
             return False
     return True
+
+
+def svd_nullspace_rows(constraint: np.ndarray, cutoff: float,
+                       scale: float) -> np.ndarray:
+    """Reference rule: economy SVD of the whole constraint, dropping singular
+    values at most cutoff * max(top, scale)."""
+    rows, cols = constraint.shape
+    if rows < cols:
+        constraint = np.concatenate([constraint, np.zeros((cols - rows, cols))])
+    _, svals, vh = np.linalg.svd(constraint, full_matrices=False)
+    threshold = cutoff * max(svals[0], scale)
+    return vh[int(np.sum(svals > threshold)):]
+
+
+def svd_commutant(mats: list[QMatrix], n: int) -> CommutantBasis:
+    """Reference commutant: per-generator constraint blocks, SVD rule."""
+    constraint = np.concatenate(
+        [left_mult_matrix(g) - right_mult_matrix(g) for g in mats])
+    rows = svd_nullspace_rows(constraint, SV_CUTOFF,
+                              max(g.frob() for g in mats))
+    return CommutantBasis([unvec(r, n) for r in rows], rows)
+
+
+def row_space_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal row sets."""
+    return max(np.linalg.norm(a - (a @ b.T) @ b, 2),
+               np.linalg.norm(b - (b @ a.T) @ a, 2))
+
+
+THRESHOLD = SV_CUTOFF           # top singular value 1, scale below it
+SCREEN = SV_CUTOFF ** 0.25      # singular values above this are screened
+
+
+@pytest.mark.parametrize("near", [
+    [],                                  # exact zeros only
+    [0.5 * THRESHOLD],                   # null, just below the threshold
+    [1.5 * THRESHOLD],                   # rank, just above the threshold
+    [1e3 * THRESHOLD],                   # rank, inside the candidate band
+    [1.5 * np.sqrt(SV_CUTOFF)],          # rank, inside the candidate band
+    [1.5 * SCREEN],                      # rank, settled by the screen
+    [1.5 * SCREEN, 1.5 * np.sqrt(SV_CUTOFF), 1e3 * THRESHOLD,
+     1.5 * THRESHOLD, 0.5 * THRESHOLD],
+])
+def test_nullspace_rows_matches_svd_rule(near):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(44)
+    cols, zeros = 48, 6
+    bulk = np.concatenate([[1.0], rng.uniform(0.1, 1.0, cols - zeros
+                                              - len(near) - 1)])
+    svals = np.concatenate([bulk, near, np.zeros(zeros)])
+    u = np.linalg.qr(rng.standard_normal((3 * cols, cols)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    constraint = (u * svals) @ v.T
+    rows = _nullspace_rows(constraint, SV_CUTOFF, 0.5)
+    reference = svd_nullspace_rows(constraint, SV_CUTOFF, 0.5)
+    assert rows.shape == reference.shape
+    assert rows.shape[0] == int(np.sum(svals <= THRESHOLD))
+    np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-12)
+    assert np.linalg.norm(constraint @ rows.T, 2) <= THRESHOLD
+    # A null space is determined only up to eps over its distance from the
+    # kept spectrum (top = 1).  Kept singular values inside the screen are
+    # split off by an SVD, to eps / gap; screened ones by the Gram
+    # eigenvectors, whose rounding is eps * top^2, to eps / gap^2.  With no
+    # kept value near the threshold the bound is below 1e-11.
+    kept = svals[svals > THRESHOLD]
+    candidate_gap = kept[kept <= SCREEN].min(initial=np.inf) - max(
+        svals[svals <= THRESHOLD])
+    screened_gap = kept[kept > SCREEN].min()
+    bound = 100 * eps * (1.0 / candidate_gap + 1.0 / screened_gap ** 2)
+    assert row_space_gap(rows, reference) <= bound
+
+
+def test_commutant_matches_svd_rule_on_planted_algebras():
+    rng = np.random.default_rng(45)
+    for n in (2, 3, 4, 8):
+        algebras = [StarAlgebra(sampling.plant_proper(rng, n)),
+                    StarAlgebra(sampling.plant_complex_induced(rng, n)[0]),
+                    StarAlgebra(sampling.plant_real_induced(rng, n)[0])]
+        if n % 2 == 0:
+            algebras.append(block_diagonal_algebra(rng, n // 2))
+        for algebra in algebras:
+            comm = commutant(algebra)
+            bicomm = bicommutant(algebra)
+            ref_comm = svd_commutant(algebra.generators, n)
+            ref_bicomm = svd_commutant(ref_comm.basis, n)
+            assert comm.dim_r == ref_comm.dim_r
+            assert bicomm.dim_r == ref_bicomm.dim_r
+            assert subspace_gap(comm, ref_comm) <= 1e-12
+            assert subspace_gap(bicomm, ref_bicomm) <= 1e-12
+
+
+@pytest.mark.parametrize("half", [2, 4])
+def test_near_reducible_algebra_matches_svd_rule(half):
+    """A block-diagonal algebra coupled by eps: the coupling lifts one
+    singular value of the constraint in proportion to eps, so sweeping eps
+    moves it across the threshold, the candidate band and the screen.  The
+    commutant dimension and the irreducibility verdict follow the SVD rule,
+    and the identity stays in the commutant."""
+    rng = np.random.default_rng(46 + half)
+    n = 2 * half
+    blocks = block_diagonal_algebra(rng, half).generators[1:]
+    coupling = np.zeros((n, n, 4))
+    coupling[:half, half:] = rng.standard_normal((half, half, 4))
+    coupling = QMatrix(coupling)
+
+    def coupled(eps):
+        algebra = StarAlgebra([blocks[0] + coupling * eps] + blocks[1:])
+        gens = np.stack([g.data for g in algebra.generators])
+        return (algebra, _commutator_constraint(gens),
+                max(g.frob() for g in algebra.generators))
+
+    _, constraint, scale = coupled(1e-6)
+    svals = np.linalg.svd(constraint, compute_uv=False)
+    ref = max(svals[0], scale)
+    lifted = svals[svals > 1e-12 * svals[0]][-1] / 1e-6   # per unit eps
+    sweep = [10.0 ** -k for k in range(1, 13)] + [
+        factor * cut * ref / lifted for factor in (0.5, 1.5)
+        for cut in (SV_CUTOFF, np.sqrt(SV_CUTOFF), SV_CUTOFF ** 0.25)]
+    identity = vec(QMatrix.identity(n))
+    for eps in sweep:
+        algebra, constraint, scale = coupled(eps)
+        rows = algebra.commutant_basis().mat
+        reference = svd_nullspace_rows(constraint, SV_CUTOFF, scale)
+        assert rows.shape == reference.shape, eps
+        assert is_irreducible(algebra) is (len(rows) == 1), eps
+        top = np.linalg.norm(constraint, 2)
+        assert (np.linalg.norm(constraint @ rows.T, 2)
+                <= SV_CUTOFF * max(top, scale)), eps
+        outside = identity - rows.T @ (rows @ identity)
+        assert np.linalg.norm(outside) <= 1e-10, eps
+
+
+def test_batched_constraint_matches_per_generator_blocks():
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3):
+        gens = [sampling.qmatrix(rng, n) for _ in range(3)]
+        per_generator = np.concatenate(
+            [left_mult_matrix(g) - right_mult_matrix(g) for g in gens])
+        batched = _commutator_constraint(np.stack([g.data for g in gens]))
+        np.testing.assert_array_equal(batched, per_generator)
 
 
 def test_nullspace_rows_of_wide_constraint():

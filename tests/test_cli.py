@@ -60,6 +60,18 @@ def test_verify_fails_property_without_checks(capsys):
     assert failed == ["trichotomy/no_checks"]
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_verify_reduction_runs_requested_dims(capsys, n):
+    code, report, _ = run_cli(capsys, "verify", "--seed", "4", "--dims",
+                              str(n), "--trials", "1")
+    assert code == 0
+    reduce_names = [c["name"].split("/")[1] for c in report["checks"]
+                    if c["name"].startswith("reduction_certificates/")]
+    assert reduce_names
+    assert all(name.startswith("reduce_") and name.endswith(f"_n{n}")
+               for name in reduce_names)
+
+
 def test_verify_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, report, _ = run_cli(capsys, "verify", "--seed", "1", "--dims", "2",
