@@ -24,12 +24,11 @@ from .quat import (  # noqa: F401
     UNIT_E2,
     UNIT_E3,
     frame_complete,
-    qconj,
-    qmul,
-    qnorm,
+    from_frame,
     sphere_representative,
     symplectic_join,
     symplectic_split,
+    to_frame,
 )
 from .qlinalg import (  # noqa: F401
     QMatrix,

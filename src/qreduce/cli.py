@@ -64,11 +64,7 @@ def _summarize(report: dict) -> None:
 def _finish(report: dict, args) -> int:
     _emit(report, args)
     _summarize(report)
-    if report["status"] == "pass":
-        return 0
-    if report["status"] == "fail":
-        return 1
-    return 1 if report.get("exit_code") is None else int(report["exit_code"])
+    return 0 if report["status"] == "pass" else 1
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -118,8 +114,7 @@ def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
     if args.trials < 1:
         raise UsageError("trials must be at least 1")
-    results = run_verify(args.seed, dims, args.trials, _tol_scale(args),
-                         jobs=args.jobs)
+    results = run_verify(args.seed, dims, args.trials, _tol_scale(args))
     checks = []
     for prop_name, prop_checks in results:
         for check in prop_checks:
@@ -229,21 +224,11 @@ def cmd_reduce(args) -> int:
 
     try:
         result = reduce_system(algebra, evolution, axis)
-    except NotComplexInduced as exc:
+    except (NotComplexInduced, DoesNotCommute) as exc:
         report = {
             "command": "reduce",
             "status": "error",
-            "error": "NotComplexInduced",
-            "message": str(exc),
-            "checks": [],
-            "artifacts": {},
-        }
-        return _finish(report, args)
-    except DoesNotCommute as exc:
-        report = {
-            "command": "reduce",
-            "status": "error",
-            "error": "DoesNotCommute",
+            "error": type(exc).__name__,
             "message": str(exc),
             "checks": [],
             "artifacts": {},
@@ -392,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dims", type=str,
                           default=",".join(str(d) for d in DEFAULT_DIMS))
     p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="run independent properties in parallel")
     p_verify.set_defaults(func=cmd_verify)
 
     p_classify = sub.add_parser("classify",

@@ -30,7 +30,15 @@ from .qlinalg import (
     polar_antiselfadjoint,
     unembed_vector,
 )
-from .quat import Frame, Quaternion, STANDARD_FRAME, symplectic_split
+from .quat import (
+    Frame,
+    Quaternion,
+    STANDARD_FRAME,
+    from_frame,
+    symplectic_join,
+    symplectic_split,
+    to_frame,
+)
 
 ANTI_TOL = 1e-10
 
@@ -111,24 +119,16 @@ def symplectic_components(v: QVector, frame: Frame,
     + M_k f3), the wave components are F1 = f0 + i f1 and F2 = f2 - i f3.
     """
     _check_left_mult(left, frame)
-    coords = left.real_basis.H @ v
-    rot = frame.rotation()
-    parts = coords.data[:, 1:] @ rot.T
-    f0, f1, f2, f3 = coords.data[:, 0], parts[:, 0], parts[:, 1], parts[:, 2]
-    return SymplecticWave(f0 + 1j * f1, f2 - 1j * f3)
+    z1, z2 = symplectic_split((left.real_basis.H @ v).data, frame)
+    return SymplecticWave(z1, z2.conj())
 
 
 def wave_reconstruct(wave: SymplecticWave, frame: Frame,
                      left: LeftMultiplication) -> QVector:
     """Rebuild the vector as F1 + j*F2 through the left multiplication."""
     _check_left_mult(left, frame)
-    rot = frame.rotation()
-    f0, f1 = wave.f1.real, wave.f1.imag
-    f2, f3 = wave.f2.real, -wave.f2.imag
-    vec_part = (f1[:, None] * rot[0] + f2[:, None] * rot[1]
-                + f3[:, None] * rot[2])
-    coords = QVector(np.concatenate([f0[:, None], vec_part], axis=1))
-    return left.real_basis @ coords
+    coords = symplectic_join(wave.f1, np.conj(wave.f2), frame)
+    return left.real_basis @ QVector(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +141,7 @@ def assemble_hamiltonian(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray,
     """Quaternionic matrix with entries h0 + h1*i + h2*j + h3*k along the
     frame; raises unless the result is anti-selfadjoint."""
     parts = [np.asarray(h, dtype=float) for h in (h0, h1, h2, h3)]
-    n = parts[0].shape[0]
-    rot = frame.rotation()
-    vec_part = (parts[1][:, :, None] * rot[0] + parts[2][:, :, None] * rot[1]
-                + parts[3][:, :, None] * rot[2])
-    mat = QMatrix(np.concatenate([parts[0][:, :, None], vec_part], axis=-1))
+    mat = QMatrix(from_frame(np.stack(parts, axis=-1), frame))
     res = (mat + mat.H).frob()
     if res > tol * max(1.0, mat.frob()):
         raise StructureError(
@@ -156,10 +152,7 @@ def assemble_hamiltonian(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray,
 def hamiltonian_components(mat: QMatrix, frame: Frame = STANDARD_FRAME
                            ) -> tuple[np.ndarray, ...]:
     """Real component matrices of a quaternionic matrix along the frame."""
-    rot = frame.rotation()
-    parts = mat.data[:, :, 1:] @ rot.T
-    return (mat.data[:, :, 0].copy(), parts[:, :, 0], parts[:, :, 1],
-            parts[:, :, 2])
+    return tuple(np.moveaxis(to_frame(mat.data, frame), -1, 0))
 
 
 def hamiltonian_block(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray,

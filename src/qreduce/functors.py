@@ -34,8 +34,10 @@ from .quat import (
     Quaternion,
     STANDARD_FRAME,
     frame_complete,
+    from_frame,
     symplectic_join,
     symplectic_split,
+    to_frame,
 )
 
 DEFAULT_TOL = 1e-10
@@ -167,21 +169,13 @@ def components(v: QVector, space: SplitSpace,
     frame = frame or space.frame
     if np.linalg.norm(frame.i.direction - space.i.direction) > 1e-12:
         raise StructureError("frame is inconsistent with the splitting unit")
-    coords = space.basis.H @ v
-    v1 = np.empty(space.n, dtype=complex)
-    v2 = np.empty(space.n, dtype=complex)
-    for m in range(space.n):
-        z1, z2 = symplectic_split(coords.entry(m), frame)
-        v1[m], v2[m] = z1, z2
-    return v1, v2
+    return symplectic_split((space.basis.H @ v).data, frame)
 
 
 def from_components(v1: np.ndarray, v2: np.ndarray,
                     space: SplitSpace) -> QVector:
     """Inverse of :func:`components`."""
-    qs = [symplectic_join(complex(a), complex(b), space.frame)
-          for a, b in zip(v1, v2)]
-    return space.basis @ QVector.from_quaternions(qs)
+    return space.basis @ QVector(symplectic_join(v1, v2, space.frame))
 
 
 def restrict_to_plus(t: QMatrix, space: SplitSpace,
@@ -191,10 +185,7 @@ def restrict_to_plus(t: QMatrix, space: SplitSpace,
     if res > tol * max(1.0, t.frob()):
         raise DoesNotCommute(res)
     coeff = space.basis.H @ t @ space.basis
-    rot = space.frame.rotation()
-    w = coeff.data[:, :, 0]
-    along_i = coeff.data[:, :, 1:] @ rot[0]
-    return w + 1j * along_i
+    return symplectic_split(coeff.data, space.frame)[0]
 
 
 def extend_from_plus(mat: np.ndarray, space: SplitSpace) -> QMatrix:
@@ -296,15 +287,12 @@ class QuaternionifiedSpace:
         ji = self.J @ self.I
         parts = np.array([v @ u, -(v @ (self.I @ u)), -(v @ (self.J @ u)),
                           -(v @ (ji @ u))])
-        rot = self.frame.rotation()
-        vec = parts[1] * rot[0] + parts[2] * rot[1] + parts[3] * rot[2]
-        return Quaternion(parts[0], *vec)
+        return Quaternion.from_array(from_frame(parts, self.frame))
 
     def scalar_mul(self, v: np.ndarray, a: Quaternion) -> np.ndarray:
-        rot = self.frame.rotation()
-        comps = a.vec @ rot.T
-        return (a.w * v + comps[0] * (self.I @ v) + comps[1] * (self.J @ v)
-                + comps[2] * (self.J @ (self.I @ v)))
+        c = to_frame(a.as_array(), self.frame)
+        return (c[0] * v + c[1] * (self.I @ v) + c[2] * (self.J @ v)
+                + c[3] * (self.J @ (self.I @ v)))
 
 
 def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
@@ -338,14 +326,9 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
     basis = _orthonormal_tuples(n, [i_op, j_op, ji], tol)
     out = []
     for t in mats:
-        w = basis.T @ t @ basis
-        ci = -(basis.T @ i_op @ t @ basis)
-        cj = -(basis.T @ j_op @ t @ basis)
-        ck = -(basis.T @ ji @ t @ basis)
-        rot = frame.rotation()
-        vec = (ci[:, :, None] * rot[0] + cj[:, :, None] * rot[1]
-               + ck[:, :, None] * rot[2])
-        out.append(QMatrix(np.concatenate([w[:, :, None], vec], axis=-1)))
+        parts = [basis.T @ t @ basis] + [-(basis.T @ op @ t @ basis)
+                                         for op in (i_op, j_op, ji)]
+        out.append(QMatrix(from_frame(np.stack(parts, axis=-1), frame)))
     return QuaternionifiedSpace(n // 4, basis, i_op, j_op, frame, out)
 
 

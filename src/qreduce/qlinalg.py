@@ -32,6 +32,8 @@ from .quat import (
     conj4,
     matmul4,
     mul4,
+    symplectic_join,
+    symplectic_split,
 )
 
 DEFAULT_TOL = 1e-10
@@ -74,10 +76,7 @@ class QVector:
     def from_complex(cls, c: np.ndarray, frame: Frame = STANDARD_FRAME) -> "QVector":
         """Lift complex coordinates into the plane of frame.i."""
         c = np.asarray(c, dtype=complex).reshape(-1)
-        data = np.zeros((c.size, 4))
-        data[:, 0] = c.real
-        data[:, 1:] = np.outer(c.imag, frame.i.direction)
-        return cls(data)
+        return cls(symplectic_join(c, np.zeros_like(c), frame))
 
     @property
     def n(self) -> int:
@@ -156,11 +155,7 @@ class QMatrix:
     def from_complex(cls, mat: np.ndarray, frame: Frame = STANDARD_FRAME) -> "QMatrix":
         """Lift a complex matrix into the plane of frame.i."""
         mat = np.asarray(mat, dtype=complex)
-        n = mat.shape[0]
-        data = np.zeros((n, n, 4))
-        data[:, :, 0] = mat.real
-        data[:, :, 1:] = mat.imag[:, :, None] * frame.i.direction
-        return cls(data)
+        return cls(symplectic_join(mat, np.zeros_like(mat), frame))
 
     @classmethod
     def scalar(cls, n: int, q: Quaternion) -> "QMatrix":
@@ -259,12 +254,7 @@ def complex_embed(t: QMatrix | np.ndarray,
     """Embed into the 2n x 2n complex matrices via the entrywise split
     T = T1 + T2*j along the frame.  A component array of shape
     (..., n, n, 4) embeds as a stack of shape (..., 2n, 2n)."""
-    data = t.data if isinstance(t, QMatrix) else t
-    rot = frame.rotation()
-    w = data[..., 0]
-    comps = data[..., 1:] @ rot.T
-    t1 = w + 1j * comps[..., 0]
-    t2 = comps[..., 1] + 1j * comps[..., 2]
+    t1, t2 = symplectic_split(t.data if isinstance(t, QMatrix) else t, frame)
     return np.block([[t1, t2], [-t2.conj(), t1.conj()]])
 
 
@@ -297,29 +287,29 @@ def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
     n = mat.shape[0] // 2
     t1 = 0.5 * (mat[:n, :n] + mat[n:, n:].conj())
     t2 = 0.5 * (mat[:n, n:] - mat[n:, :n].conj())
-    rot = frame.rotation()
-    comps = np.stack([t1.imag, t2.real, t2.imag], axis=-1)
-    data = np.concatenate([t1.real[:, :, None], comps @ rot], axis=-1)
-    return QMatrix(data)
+    return QMatrix(symplectic_join(t1, t2, frame))
+
+
+def _pair_coords(v: QVector, frame: Frame, sign: float) -> np.ndarray:
+    """(v1; sign * conj(v2)) in C^(2n) for the split v = v1 + v2*j."""
+    v1, v2 = symplectic_split(v.data, frame)
+    return np.concatenate([v1, sign * v2.conj()])
+
+
+def _from_pair_coords(c: np.ndarray, frame: Frame, sign: float) -> QVector:
+    """Inverse of :func:`_pair_coords` for the same sign."""
+    c = np.asarray(c, dtype=complex).reshape(-1)
+    n = c.size // 2
+    return QVector(symplectic_join(c[:n], sign * c[n:].conj(), frame))
 
 
 def embed_vector(v: QVector, frame: Frame = STANDARD_FRAME) -> np.ndarray:
     """psi(v) = (v1; -conj(v2)) in C^(2n); satisfies chi(T) psi(v) = psi(Tv)."""
-    rot = frame.rotation()
-    comps = v.data[:, 1:] @ rot.T
-    v1 = v.data[:, 0] + 1j * comps[:, 0]
-    v2 = comps[:, 1] + 1j * comps[:, 2]
-    return np.concatenate([v1, -v2.conj()])
+    return _pair_coords(v, frame, -1.0)
 
 
 def unembed_vector(c: np.ndarray, frame: Frame = STANDARD_FRAME) -> QVector:
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    n = c.size // 2
-    v1, v2 = c[:n], -c[n:].conj()
-    rot = frame.rotation()
-    comps = np.stack([v1.imag, v2.real, v2.imag], axis=-1)
-    data = np.concatenate([v1.real[:, None], comps @ rot], axis=-1)
-    return QVector(data)
+    return _from_pair_coords(c, frame, -1.0)
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> dict:
@@ -345,21 +335,11 @@ def right_coords(v: QVector, frame: Frame = STANDARD_FRAME) -> np.ndarray:
     product, which makes it the right carrier for Gram-Schmidt over that
     plane.
     """
-    rot = frame.rotation()
-    comps = v.data[:, 1:] @ rot.T
-    v1 = v.data[:, 0] + 1j * comps[:, 0]
-    v2 = comps[:, 1] + 1j * comps[:, 2]
-    return np.concatenate([v1, v2.conj()])
+    return _pair_coords(v, frame, 1.0)
 
 
 def from_right_coords(c: np.ndarray, frame: Frame = STANDARD_FRAME) -> QVector:
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    n = c.size // 2
-    v1, v2 = c[:n], c[n:].conj()
-    rot = frame.rotation()
-    comps = np.stack([v1.imag, v2.real, v2.imag], axis=-1)
-    data = np.concatenate([v1.real[:, None], comps @ rot], axis=-1)
-    return QVector(data)
+    return _from_pair_coords(c, frame, 1.0)
 
 
 # ---------------------------------------------------------------------------

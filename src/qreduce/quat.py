@@ -6,7 +6,9 @@ is stored as the four real coefficients (w, x, y, z) of (1, e1, e2, e3).
 
 Vectorized helpers operate on float arrays whose last axis has length 4
 and carry the same convention; they are the computational backbone of
-the matrix layer.
+the matrix layer.  Coordinates along a frame, and with them the
+symplectic split q = z1 + z2*j, are computed only by `to_frame` and
+`from_frame`.
 """
 from __future__ import annotations
 
@@ -151,19 +153,6 @@ E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
 E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product under the package sign convention (e1*e2 = e3)."""
-    return p * q
-
-
-def qconj(q: Quaternion) -> Quaternion:
-    return q.conjugate()
-
-
-def qnorm(q: Quaternion) -> float:
-    return abs(q)
-
-
 # ---------------------------------------------------------------------------
 # imaginary units and frames
 
@@ -263,20 +252,42 @@ def frame_complete(i: ImaginaryUnit) -> Frame:
     return Frame.from_ij(i, j)
 
 
-def symplectic_split(q: Quaternion, frame: Frame) -> tuple[complex, complex]:
-    """Decompose q = z1 + z2*j with z1, z2 in the complex plane of frame.i."""
-    v = q.vec
-    z1 = complex(q.w, float(v @ frame.i.direction))
-    z2 = complex(float(v @ frame.j.direction), float(v @ frame.k.direction))
-    return z1, z2
+def to_frame(a: np.ndarray, frame: Frame) -> np.ndarray:
+    """Coordinates (w, <v,i>, <v,j>, <v,k>) along the frame of component
+    arrays of shape (..., 4); the inverse of :func:`from_frame`."""
+    a = np.asarray(a, dtype=float)
+    return np.concatenate([a[..., :1], a[..., 1:] @ frame.rotation().T],
+                          axis=-1)
 
 
-def symplectic_join(z1: complex, z2: complex, frame: Frame) -> Quaternion:
-    """Inverse of :func:`symplectic_split`."""
-    vec = (z1.imag * frame.i.direction
-           + z2.real * frame.j.direction
-           + z2.imag * frame.k.direction)
-    return Quaternion(z1.real, *vec)
+def from_frame(c: np.ndarray, frame: Frame) -> np.ndarray:
+    """Component arrays of shape (..., 4) from their frame coordinates."""
+    c = np.asarray(c, dtype=float)
+    return np.concatenate([c[..., :1], c[..., 1:] @ frame.rotation()],
+                          axis=-1)
+
+
+def symplectic_split(q: Quaternion | np.ndarray, frame: Frame):
+    """Decompose q = z1 + z2*j with z1, z2 in the complex plane of frame.i.
+
+    A Quaternion splits into two complex numbers, a (..., 4) component
+    array into two complex arrays of shape (...).
+    """
+    scalar = isinstance(q, Quaternion)
+    z = to_frame(q.as_array() if scalar else q, frame).view(complex)
+    if scalar:
+        return complex(z[0]), complex(z[1])
+    return z[..., 0], z[..., 1]
+
+
+def symplectic_join(z1: complex | np.ndarray, z2: complex | np.ndarray,
+                    frame: Frame) -> Quaternion | np.ndarray:
+    """Inverse of :func:`symplectic_split`: complex numbers join into a
+    Quaternion, complex arrays into a (..., 4) component array."""
+    pairs = np.stack([np.asarray(z1, dtype=complex),
+                      np.asarray(z2, dtype=complex)], axis=-1)
+    a = from_frame(pairs.view(float), frame)
+    return Quaternion.from_array(a) if a.ndim == 1 else a
 
 
 def sphere_representative(q: Quaternion, i: ImaginaryUnit) -> Quaternion:

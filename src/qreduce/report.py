@@ -23,7 +23,3 @@ class Check:
             "tolerance": float(self.tolerance),
             "pass": self.passed,
         }
-
-
-def all_pass(checks) -> bool:
-    return all(c.passed for c in checks)

@@ -9,8 +9,6 @@ passing check certifies every trial.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import scipy.linalg
 
@@ -144,6 +142,9 @@ def _structured_complex(rng, n, kind):
 
 
 def _complex_flags(mat, tol):
+    # Independent complex-side reference that functor_flags checks
+    # classify_operator against; calling classify_operator here would make
+    # that check compare the function with itself.
     n = mat.shape[0]
     adj = mat.conj().T
     scale = max(1.0, np.linalg.norm(mat))
@@ -529,22 +530,12 @@ PROPERTIES = [
 
 
 def run_verify(seed: int, dims=DEFAULT_DIMS, trials: int = 100,
-               tol_scale: float = 1.0, jobs: int = 1) -> list[tuple[str, list[Check]]]:
-    """Run every registered property; the result order is fixed by the
-    registry regardless of parallelism.  A property that produces no checks
-    for the requested dims reports one failing `no_checks` check."""
+               tol_scale: float = 1.0) -> list[tuple[str, list[Check]]]:
+    """Run every registered property in registry order.  A property that
+    produces no checks for the requested dims reports one failing
+    `no_checks` check."""
     dims = tuple(int(d) for d in dims)
-    master = np.random.SeedSequence(seed)
-    child_seeds = master.spawn(len(PROPERTIES))
-
-    def run_one(idx: int):
-        name, func = PROPERTIES[idx]
-        checks = func(child_seeds[idx], dims, trials, tol_scale)
-        return name, checks or [Check("no_checks", 1.0, 0.5)]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, range(len(PROPERTIES))))
-    else:
-        results = [run_one(idx) for idx in range(len(PROPERTIES))]
-    return results
+    child_seeds = np.random.SeedSequence(seed).spawn(len(PROPERTIES))
+    return [(name, func(child, dims, trials, tol_scale)
+             or [Check("no_checks", 1.0, 0.5)])
+            for (name, func), child in zip(PROPERTIES, child_seeds)]

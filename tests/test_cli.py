@@ -34,13 +34,6 @@ def test_verify_deterministic(capsys):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_verify_jobs_matches_serial(capsys):
-    base = ("verify", "--seed", "3", "--dims", "2", "--trials", "8")
-    _, serial, _ = run_cli(capsys, *base)
-    _, parallel, _ = run_cli(capsys, *base, "--jobs", "4")
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
-
-
 def test_verify_rejects_bad_dims(capsys):
     code, report, _ = run_cli(capsys, "verify", "--dims", "0")
     assert code == 2
@@ -191,6 +184,27 @@ def test_reduce_proper_is_not_complex_induced(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "error"
     assert report["error"] == "NotComplexInduced"
+
+
+@pytest.mark.parametrize("kind", ["NotComplexInduced", "DoesNotCommute"])
+def test_reduce_error_report_on_stdout_and_output(tmp_path, capsys, kind):
+    rng = np.random.default_rng(5)
+    if kind == "NotComplexInduced":
+        path = _write_algebra(tmp_path, sampling.plant_proper(rng, 2))
+    else:
+        gens, _ = sampling.plant_complex_induced(rng, 2)
+        path = _write_algebra(tmp_path, gens, extra={
+            "evolution": [sampling.unitary(rng, 2).to_json()]})
+    out = tmp_path / "report.json"
+    code = main(["reduce", str(path), "--output", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert stdout == out.read_text()
+    report = json.loads(stdout)
+    assert stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report["status"] == "error"
+    assert report["error"] == kind
+    assert report["checks"] == [] and report["artifacts"] == {}
 
 
 def test_reduce_with_explicit_evolution_and_axis(tmp_path, capsys):

@@ -187,6 +187,31 @@ def test_components_basis_vectors_and_roundtrip():
         assert (from_components(v1, v2, space) - v).norm() <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_components_roundtrip_random_axis(n):
+    rng = np.random.default_rng(60 + n)
+    j = sampling.anti_unit(rng, n)
+    space = split_plus_minus(j, sampling.imaginary_unit(rng))
+    i_dir, j_dir, k_dir = (space.frame.i.direction, space.frame.j.direction,
+                           space.frame.k.direction)
+    for _ in range(10):
+        v = sampling.qvector(rng, n)
+        v1, v2 = components(v, space)
+        assert v1.shape == v2.shape == (n,)
+        # entrywise reference: coordinates of <b_m, v> along the frame
+        coords = (space.basis.H @ v).data
+        np.testing.assert_allclose(v1, coords[:, 0] + 1j * (coords[:, 1:] @ i_dir),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v2, coords[:, 1:] @ j_dir
+                                   + 1j * (coords[:, 1:] @ k_dir),
+                                   rtol=0, atol=1e-14)
+        assert (from_components(v1, v2, space) - v).norm() <= 1e-12 * v.norm()
+        c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        w1, w2 = components(from_components(c[0], c[1], space), space)
+        assert np.linalg.norm(np.concatenate([w1 - c[0], w2 - c[1]])) \
+            <= 1e-12 * np.linalg.norm(c)
+
+
 def test_restrict_j_gives_scalar_i():
     rng = np.random.default_rng(6)
     n = 3
