@@ -1,8 +1,9 @@
 """Registered property suites driven by the CLI `verify` command and by the
 acceptance tests.
 
-Every property takes a SeedSequence (trial seeds are spawned from it, so a
-fixed master seed reproduces the run bit for bit), the list of quaternionic
+Every property takes a SeedSequence (trial seeds derive from it, per
+dimension where a property loops over dims, so a fixed master seed
+reproduces the run bit for bit), the list of quaternionic
 dimensions to exercise, a trial count and a tolerance scale; it returns a
 list of named checks.  Residuals aggregate as maxima over trials, so a
 passing check certifies every trial.
@@ -55,6 +56,13 @@ DEFAULT_DIMS = (2, 3, 4)
 
 def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.default_rng(seed_seq)
+
+
+def _dim_rng(seed_seq: np.random.SeedSequence, n: int) -> np.random.Generator:
+    """Stream for dimension n: it depends on the property's seed and on n
+    only, not on which other dims were requested or in what order."""
+    return np.random.default_rng(np.random.SeedSequence(
+        seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +169,8 @@ def _complex_flags(mat, tol):
 def prop_functor_ledger(seed_seq, dims, trials, tol_scale):
     checks = []
     tol = 1e-9 * tol_scale
-    for d_idx, n in enumerate(dims):
-        rng = np.random.default_rng(seed_seq.spawn(len(dims))[d_idx])
+    for n in dims:
+        rng = _dim_rng(seed_seq, n)
         worst_norm = 0.0
         worst_adjoint = 0.0
         flag_mismatches = 0
@@ -208,8 +216,8 @@ def prop_functor_ledger(seed_seq, dims, trials, tol_scale):
 def prop_splitting(seed_seq, dims, trials, tol_scale):
     checks = []
     tol = 1e-10 * tol_scale
-    for d_idx, n in enumerate(dims):
-        rng = np.random.default_rng(seed_seq.spawn(len(dims))[d_idx])
+    for n in dims:
+        rng = _dim_rng(seed_seq, n)
         dim_failures = 0
         worst_jmap = 0.0
         worst_roundtrip = 0.0
@@ -325,8 +333,8 @@ def prop_trichotomy(seed_seq, dims, trials, tol_scale):
     checks = []
     tol = 1e-7 * tol_scale
     usable = [n for n in dims if n >= 2]
-    for d_idx, n in enumerate(usable):
-        rng = np.random.default_rng(seed_seq.spawn(len(usable))[d_idx])
+    for n in usable:
+        rng = _dim_rng(seed_seq, n)
         dim_failures = 0
         worst_j = 0.0
         worst_ijk = 0.0
@@ -378,8 +386,8 @@ def prop_bicommutant(seed_seq, dims, trials, tol_scale):
     checks = []
     tol = 1e-8 * tol_scale
     count = max(2, trials // 20)
-    for d_idx, n in enumerate(dims):
-        rng = np.random.default_rng(seed_seq.spawn(len(dims))[d_idx])
+    for n in dims:
+        rng = _dim_rng(seed_seq, n)
         worst_gap = 0.0
         worst_member = 0.0
         for _ in range(count):
@@ -403,8 +411,8 @@ def prop_bicommutant(seed_seq, dims, trials, tol_scale):
 def prop_reduction(seed_seq, dims, trials, tol_scale):
     checks = []
     count = max(2, trials // 20)
-    for d_idx, n in enumerate(dims):
-        rng = np.random.default_rng(seed_seq.spawn(len(dims))[d_idx])
+    for n in dims:
+        rng = _dim_rng(seed_seq, n)
         worst: dict[str, Check] = {}
         for trial in range(count):
             gens, _ = sampling.plant_complex_induced(rng, n)
@@ -465,8 +473,8 @@ def prop_adler_probabilities(seed_seq, dims, trials, tol_scale):
 def prop_polar(seed_seq, dims, trials, tol_scale):
     checks = []
     tol = 1e-9 * tol_scale
-    for d_idx, n in enumerate(dims):
-        rng = np.random.default_rng(seed_seq.spawn(len(dims))[d_idx])
+    for n in dims:
+        rng = _dim_rng(seed_seq, n)
         worst = {"reconstruct": 0.0, "modulus_selfadjoint": 0.0,
                  "unit_antiselfadjoint": 0.0, "unit_square": 0.0,
                  "factors_commute": 0.0}

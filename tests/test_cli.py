@@ -65,6 +65,21 @@ def test_verify_reduction_runs_requested_dims(capsys, n):
                for name in reduce_names)
 
 
+def test_verify_dimension_streams_ignore_other_dims(capsys):
+    def n4_residuals(dims):
+        _, report, _ = run_cli(capsys, "verify", "--seed", "42", "--dims", dims,
+                               "--trials", "5")
+        return {c["name"]: c["residual"] for c in report["checks"]
+                if c["name"].endswith("_n4")}
+
+    alone = n4_residuals("4")
+    props = {name.split("/")[0] for name in alone}
+    assert props == {"functor_ledger", "splitting", "trichotomy", "bicommutant",
+                     "reduction_certificates", "polar_decomposition"}
+    assert n4_residuals("2,4") == alone
+    assert n4_residuals("4,2") == alone
+
+
 def test_verify_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, report, _ = run_cli(capsys, "verify", "--seed", "1", "--dims", "2",
