@@ -14,6 +14,7 @@ their component space) is layered on top of that one primitive.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,6 @@ def vec(t: QMatrix) -> np.ndarray:
     return t.data.reshape(-1)
 
 
-def unvec(x: np.ndarray, n: int) -> QMatrix:
-    return QMatrix(np.asarray(x, dtype=float).reshape(n, n, 4))
-
-
 def left_mult_matrix(g: QMatrix) -> np.ndarray:
     """Real (4n^2, 4n^2) matrix of T -> G T on vectorized matrices."""
     n = g.n
@@ -84,23 +81,30 @@ def right_mult_matrix(g: QMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Orthonormal real basis (under the trace form) of a commutant."""
+    """Orthonormal real basis (under the trace form) of a subspace of the
+    n x n quaternionic matrices, held as the rows of one array."""
 
-    basis: list[QMatrix]
     mat: np.ndarray            # dim_r x 4n^2, orthonormal rows
 
     @property
     def dim_r(self) -> int:
-        return len(self.basis)
+        return self.mat.shape[0]
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The basis as a (dim_r, n, n, 4) component array."""
+        n = math.isqrt(self.mat.shape[1] // 4)
+        return self.mat.reshape(-1, n, n, 4)
+
+    @property
+    def basis(self) -> list[QMatrix]:
+        return [QMatrix(b) for b in self.stack]
 
     def membership_residual(self, t: QMatrix) -> float:
         """Relative least-squares distance of t from the spanned subspace."""
         x = vec(t)
         scale = max(1.0, float(np.linalg.norm(x)))
-        if self.dim_r == 0:
-            return float(np.linalg.norm(x)) / scale
-        coeffs = self.mat @ x
-        return float(np.linalg.norm(x - self.mat.T @ coeffs)) / scale
+        return float(np.linalg.norm(x - self.mat.T @ (self.mat @ x))) / scale
 
     def contains(self, t: QMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(t) <= tol
@@ -163,16 +167,11 @@ def _nullspace_rows(constraint: np.ndarray, cutoff: float,
     return vh[rank:] @ candidates.T
 
 
-def _commutant_of(mats: list[QMatrix], n: int,
-                  cutoff: float = SV_CUTOFF) -> CommutantBasis:
-    if not mats:
-        rows = np.eye(4 * n * n)
-    else:
-        constraint = _commutator_constraint(np.stack([g.data for g in mats]))
-        scale = max(g.frob() for g in mats)
-        rows = _nullspace_rows(constraint, cutoff, scale)
-    basis = [unvec(rows[k], n) for k in range(rows.shape[0])]
-    return CommutantBasis(basis, rows)
+def _commutant_of(mats: np.ndarray) -> CommutantBasis:
+    """Commutant of a (k, n, n, 4) stack of matrices."""
+    scale = max(float(np.linalg.norm(g)) for g in mats)
+    return CommutantBasis(_nullspace_rows(_commutator_constraint(mats),
+                                          SV_CUTOFF, scale))
 
 
 class StarAlgebra:
@@ -201,13 +200,13 @@ class StarAlgebra:
 
     def commutant_basis(self) -> CommutantBasis:
         if self._commutant is None:
-            self._commutant = _commutant_of(self.generators, self.n)
+            self._commutant = _commutant_of(
+                np.stack([g.data for g in self.generators]))
         return self._commutant
 
     def bicommutant_basis(self) -> CommutantBasis:
         if self._bicommutant is None:
-            first = self.commutant_basis()
-            self._bicommutant = _commutant_of(first.basis, self.n)
+            self._bicommutant = _commutant_of(self.commutant_basis().stack)
         return self._bicommutant
 
     def to_json(self) -> dict:
@@ -227,30 +226,25 @@ def bicommutant(algebra: StarAlgebra) -> CommutantBasis:
     return algebra.bicommutant_basis()
 
 
-def center(algebra: StarAlgebra, tol: float = SV_CUTOFF) -> CommutantBasis:
+def center(algebra: StarAlgebra) -> CommutantBasis:
     """Intersection of the algebra (bicommutant) with its commutant."""
     comm = algebra.commutant_basis()
     bicomm = algebra.bicommutant_basis()
-    n = algebra.n
-    dim = 4 * n * n
-    complement = ((np.eye(dim) - comm.mat.T @ comm.mat)
-                  + (np.eye(dim) - bicomm.mat.T @ bicomm.mat))
+    eye = np.eye(comm.mat.shape[1])
+    complement = ((eye - comm.mat.T @ comm.mat)
+                  + (eye - bicomm.mat.T @ bicomm.mat))
     vals, vecs = np.linalg.eigh(complement)
-    keep = vals < tol
-    rows = vecs[:, keep].T
-    basis = [unvec(rows[k], n) for k in range(rows.shape[0])]
-    return CommutantBasis(basis, rows)
+    return CommutantBasis(vecs[:, vals < SV_CUTOFF].T)
 
 
-def _row_span(stack: np.ndarray, cutoff: float) -> np.ndarray:
+def _row_span(stack: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of stack, dropping singular values
-    below cutoff relative to the largest."""
+    below SV_CUTOFF relative to the largest."""
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    return vh[svals > cutoff * svals[0]]
+    return vh[svals > SV_CUTOFF * svals[0]]
 
 
-def generated_algebra(algebra: StarAlgebra,
-                      cutoff: float = SV_CUTOFF) -> CommutantBasis:
+def generated_algebra(algebra: StarAlgebra) -> CommutantBasis:
     """Real span of the unital *-algebra generated by the generators.
 
     Krylov-style closure: starting from the span of the generators (which
@@ -262,69 +256,56 @@ def generated_algebra(algebra: StarAlgebra,
     """
     n = algebra.n
     gens = np.stack([g.data for g in algebra.generators])
-    rows = _row_span(gens.reshape(len(gens), -1), cutoff)
+    rows = _row_span(gens.reshape(len(gens), -1))
     for _ in range(4 * n * n):
         products = matmul4(gens[:, None], rows.reshape(1, -1, n, n, 4))
         new_rows = _row_span(
-            np.concatenate([rows, products.reshape(-1, 4 * n * n)]), cutoff)
+            np.concatenate([rows, products.reshape(-1, 4 * n * n)]))
         if new_rows.shape[0] == rows.shape[0]:
-            basis = [unvec(r, n) for r in new_rows]
-            return CommutantBasis(basis, new_rows)
+            return CommutantBasis(new_rows)
         rows = new_rows
     raise InternalInconsistency(
         f"generated algebra did not close within {4 * n * n} rounds")
 
 
 def subspace_gap(a: CommutantBasis, b: CommutantBasis) -> float:
-    """Largest mutual membership residual between two spanned subspaces."""
-    worst = 0.0
-    for t in a.basis:
-        worst = max(worst, b.membership_residual(t))
-    for t in b.basis:
-        worst = max(worst, a.membership_residual(t))
-    return worst
+    """Largest distance of a basis row of either subspace from the other."""
+    return max(float(np.linalg.norm(x - (x @ y.T) @ y, axis=1).max(initial=0.0))
+               for x, y in ((a.mat, b.mat), (b.mat, a.mat)))
 
 
 # ---------------------------------------------------------------------------
 # irreducibility and classification
 
 
-def _spread_exceeds(stack: np.ndarray, cutoff: float) -> np.ndarray:
+def _spread_exceeds(stack: np.ndarray) -> np.ndarray:
     """For each (n, n, 4) component array in stack: whether its selfadjoint
-    part has a spectral spread beyond cutoff times max(1, its norm)."""
+    part has a spectral spread beyond GAP_CUTOFF times max(1, its norm)."""
     sym = 0.5 * (stack + conj4(np.swapaxes(stack, -3, -2)))
     vals = np.linalg.eigvalsh(complex_embed(sym))
     scale = np.maximum(1.0, np.linalg.norm(sym.reshape(len(sym), -1), axis=1))
-    return vals[:, -1] - vals[:, 0] > cutoff * scale
+    return vals[:, -1] - vals[:, 0] > GAP_CUTOFF * scale
 
 
-def is_irreducible(algebra: StarAlgebra, cutoff: float = GAP_CUTOFF,
-                   samples: int = 32, seed: int = 0) -> bool:
+def is_irreducible(algebra: StarAlgebra) -> bool:
     """True iff every projection in the commutant is trivial.
 
-    Any selfadjoint element of the commutant with separated eigenspheres
-    yields a nontrivial invariant projection, so the commutant basis is
-    scanned through its selfadjoint parts together with random selfadjoint
-    combinations; a spectral spread beyond the cutoff flags reducibility.
-    All candidates are embedded and diagonalised as one batch.
+    A nontrivial commutant projection P = sum_k c_k b_k over the basis b_k
+    is its own selfadjoint part, so it is scalar unless some b_k has a
+    selfadjoint part with separated eigenspheres; such a part in turn
+    yields a nontrivial invariant projection.  The basis is therefore
+    scanned, as one batch, for a spectral spread beyond GAP_CUTOFF.
     """
-    comm = algebra.commutant_basis()
-    basis = comm.mat.reshape(-1, algebra.n, algebra.n, 4)
-    coeffs = np.random.default_rng(seed).standard_normal((samples, comm.dim_r))
-    mixes = np.einsum("sk,knmc->snmc", coeffs, basis)
-    return not _spread_exceeds(np.concatenate([basis, mixes]), cutoff).any()
+    return not _spread_exceeds(algebra.commutant_basis().stack).any()
 
 
-def reducibility_witness(algebra: StarAlgebra,
-                         cutoff: float = GAP_CUTOFF) -> QMatrix | None:
-    """A nontrivial commutant projection, if one exists."""
-    comm = algebra.commutant_basis()
-    flagged = _spread_exceeds(
-        comm.mat.reshape(-1, algebra.n, algebra.n, 4), cutoff)
+def reducibility_witness(algebra: StarAlgebra) -> QMatrix | None:
+    """A nontrivial commutant projection, taken from the basis elements that
+    the :func:`is_irreducible` scan flags; None for an irreducible algebra."""
+    basis = algebra.commutant_basis().stack
     ident = QMatrix.identity(algebra.n)
-    for b, hit in zip(comm.basis, flagged):
-        if not hit:
-            continue
+    for b in basis[_spread_exceeds(basis)]:
+        b = QMatrix(b)
         for _, p in spectral_projections((b + b.H) * 0.5):
             if p.frob() > 0.5 and (p - ident).frob() > 0.5:
                 return p

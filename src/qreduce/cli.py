@@ -4,7 +4,7 @@ Reports are JSON on stdout (deterministic for a fixed seed) with a
 human-readable summary on stderr.  Exit codes: 0 all checks pass, 1 a
 check failed or the run ended with a domain error, 2 usage or input
 error.  The environment variable QR_TOL_SCALE multiplies every default
-tolerance, as does the --tol flag.
+tolerance, as does the --tol flag; both must be finite and positive.
 """
 from __future__ import annotations
 
@@ -41,8 +41,18 @@ class UsageError(Exception):
 
 
 def _tol_scale(args) -> float:
-    env = float(os.environ.get("QR_TOL_SCALE", "1.0"))
-    return env * args.tol
+    """QR_TOL_SCALE times --tol; each factor and the product must be finite
+    and positive."""
+    text = os.environ.get("QR_TOL_SCALE", "1.0")
+    try:
+        env = float(text)
+    except ValueError:
+        env = math.nan
+    scale = env * args.tol
+    if not (env > 0 and args.tol > 0 and 0 < scale < math.inf):
+        raise UsageError(f"tolerance scale must be finite and positive "
+                         f"(QR_TOL_SCALE={text!r}, --tol {args.tol!r})")
+    return scale
 
 
 def _emit(report: dict, args) -> None:
@@ -106,6 +116,23 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_system(path: str) -> tuple[StarAlgebra, list[QMatrix]]:
+    """Algebra and optional evolution list of a classify/reduce file.  The
+    dimension is checked before any n x n array is built."""
+    payload = _load_json(path)
+    n = payload.get("n") if isinstance(payload, dict) else None
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIM:
+        raise UsageError(f"n must be an integer in [1, {MAX_DIM}], got {n!r}")
+    try:
+        algebra = StarAlgebra.from_json(payload)
+        evolution = [QMatrix.from_json(u) for u in payload.get("evolution", [])]
+    except (KeyError, TypeError, ValueError, QReduceError) as exc:
+        raise UsageError(f"malformed system file: {exc}") from exc
+    if any(u.n != n for u in evolution):
+        raise UsageError(f"evolution operators must be {n} x {n}")
+    return algebra, evolution
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -114,7 +141,7 @@ def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
     if args.trials < 1:
         raise UsageError("trials must be at least 1")
-    results = run_verify(args.seed, dims, args.trials, _tol_scale(args))
+    results = run_verify(args.seed, dims, args.trials, args.tol_scale)
     checks = []
     for prop_name, prop_checks in results:
         for check in prop_checks:
@@ -130,7 +157,7 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
             "dims": dims,
             "trials": args.trials,
-            "tol_scale": _tol_scale(args),
+            "tol_scale": args.tol_scale,
         },
     }
     return _finish(report, args)
@@ -166,11 +193,7 @@ def _classification_checks(verdict, algebra) -> list[Check]:
 
 
 def cmd_classify(args) -> int:
-    payload = _load_json(args.input)
-    try:
-        algebra = StarAlgebra.from_json(payload)
-    except (KeyError, TypeError, ValueError, QReduceError) as exc:
-        raise UsageError(f"malformed algebra file: {exc}") from exc
+    algebra, _ = _load_system(args.input)
 
     if not is_irreducible(algebra):
         witness = reducibility_witness(algebra)
@@ -212,13 +235,8 @@ def _default_evolution(algebra: StarAlgebra) -> list[QMatrix]:
 
 
 def cmd_reduce(args) -> int:
-    payload = _load_json(args.input)
+    algebra, evolution = _load_system(args.input)
     axis = _parse_axis(args.i_axis)
-    try:
-        algebra = StarAlgebra.from_json(payload)
-        evolution = [QMatrix.from_json(u) for u in payload.get("evolution", [])]
-    except (KeyError, TypeError, ValueError, QReduceError) as exc:
-        raise UsageError(f"malformed system file: {exc}") from exc
     if not evolution:
         evolution = _default_evolution(algebra)
 
@@ -343,9 +361,9 @@ def _print_demo_tables(report: dict) -> None:
 
 def cmd_demo(args) -> int:
     if args.which == "adler":
-        report = _demo_adler(args.seed, _tol_scale(args))
+        report = _demo_adler(args.seed, args.tol_scale)
     elif args.which == "counitary":
-        report = _demo_counitary(args.seed, _tol_scale(args))
+        report = _demo_counitary(args.seed, args.tol_scale)
     else:
         raise UsageError(f"unknown demo {args.which!r}")
     _print_demo_tables(report)
@@ -407,6 +425,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.tol_scale = _tol_scale(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

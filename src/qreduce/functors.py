@@ -27,7 +27,7 @@ from .errors import (
     InternalInconsistency,
     StructureError,
 )
-from .qlinalg import QMatrix, QVector, from_right_coords, right_coords
+from .qlinalg import QMatrix, QVector
 from .quat import (
     Frame,
     ImaginaryUnit,
@@ -35,6 +35,8 @@ from .quat import (
     STANDARD_FRAME,
     frame_complete,
     from_frame,
+    matmul4,
+    mul4,
     symplectic_join,
     symplectic_split,
     to_frame,
@@ -138,29 +140,32 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit,
     _check_anti_unitary(j, tol)
     n = j.n
     frame = frame_complete(i)
-    jq = frame.j.as_quaternion()
-    candidates = []
-    for m in range(n):
-        e = QVector.basis(n, m)
-        candidates.append(plus_projector_apply(j, e, frame))
-        candidates.append(plus_projector_apply(j, e * jq, frame))
-    coords = np.stack([right_coords(c, frame) for c in candidates], axis=1)
-    q, r, _ = scipy.linalg.qr(coords, mode="economic", pivoting=True)
+    iq = frame.i.as_quaternion().as_array()
+    # columns delta_0, delta_0*j, delta_1, delta_1*j, ...: the order
+    # decides which columns the pivoted QR picks
+    m = np.arange(n)
+    cands = np.zeros((n, 2 * n, 4))
+    cands[m, 2 * m, 0] = 1.0
+    cands[m, 2 * m + 1] = frame.j.as_quaternion().as_array()
+    cands = (cands - mul4(matmul4(j.data, cands), iq)) * 0.5
+    # coordinates (v1, conj(v2)) of v = v1 + v2*j are complex-linear for
+    # the right action of the plane of i and isometric for its inner product
+    v1, v2 = symplectic_split(cands, frame)
+    q, r, _ = scipy.linalg.qr(np.concatenate([v1, v2.conj()]),
+                              mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > RANK_TOL * max(diag[0], 1e-300)))
     if rank != n:
         raise StructureError(
             f"plus space has complex dimension {rank}, expected {n}")
-    cols = [from_right_coords(q[:, m], frame) for m in range(n)]
-    basis = QMatrix(np.stack([c.data for c in cols], axis=1))
-    space = SplitSpace(j, frame, basis)
-    worst = max(
-        ((j @ c) - c * frame.i.as_quaternion()).norm() for c in cols)
+    basis = symplectic_join(q[:n, :n], q[n:, :n].conj(), frame)
+    defect = matmul4(j.data, basis) - mul4(basis, iq)
+    worst = float(np.linalg.norm(defect, axis=(0, 2)).max())
     if worst > 1e-9:
         raise InternalInconsistency(
             f"plus-basis defect {worst:.2e}; J is too far from the required "
             "structure")
-    return space
+    return SplitSpace(j, frame, QMatrix(basis))
 
 
 def components(v: QVector, space: SplitSpace,
@@ -419,27 +424,26 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
     if anti > tol * max(1.0, i_op.frob() * j_op.frob()):
         raise StructureError(f"I and J must anticommute (residual {anti:.2e})")
 
-    iq = frame.i.as_quaternion()
-    jq = frame.j.as_quaternion()
-    kq = frame.k.as_quaternion()
-
-    def project(v: QVector) -> QVector:
-        return (v - (i_op @ v) * iq - (j_op @ v) * jq
-                + ((j_op @ (i_op @ v)) * kq)) * 0.25
-
-    candidates = []
-    for m in range(n):
-        e = QVector.basis(n, m)
-        for unit in (Quaternion(1.0), iq, jq, kq):
-            candidates.append(project(e * unit))
-    coords = np.stack([c.data.reshape(-1) for c in candidates], axis=1)
+    iq, jq, kq = (u.as_quaternion().as_array()
+                  for u in (frame.i, frame.j, frame.k))
+    # columns delta_m * u for m = 0..n-1 and u in (1, i, j, k), in that
+    # order (it decides the QR pivots), projected onto H_R by
+    # (v - (Iv) i - (Jv) j + (JIv) k) / 4
+    m = np.arange(n)
+    cands = np.zeros((n, 4 * n, 4))
+    for col, unit in enumerate((np.array([1.0, 0.0, 0.0, 0.0]), iq, jq, kq)):
+        cands[m, 4 * m + col] = unit
+    i_cands = matmul4(i_op.data, cands)
+    cands = (cands - mul4(i_cands, iq) - mul4(matmul4(j_op.data, cands), jq)
+             + mul4(matmul4(j_op.data, i_cands), kq)) * 0.25
+    coords = np.moveaxis(cands, 1, -1).reshape(4 * n, 4 * n)
     q, r, _ = scipy.linalg.qr(coords, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > RANK_TOL * max(diag[0], 1e-300)))
     if rank != n:
         raise StructureError(
             f"real subspace has dimension {rank}, expected {n}")
-    cols = np.stack([q[:, m].reshape(n, 4) for m in range(n)], axis=1)
+    cols = np.moveaxis(q[:, :n].reshape(n, 4, n), -1, 1)
     left = LeftMultiplication(QMatrix(cols), frame)
 
     m_i, m_j, m_k = left.unit_mats()

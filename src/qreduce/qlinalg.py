@@ -290,26 +290,18 @@ def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
     return QMatrix(symplectic_join(t1, t2, frame))
 
 
-def _pair_coords(v: QVector, frame: Frame, sign: float) -> np.ndarray:
-    """(v1; sign * conj(v2)) in C^(2n) for the split v = v1 + v2*j."""
-    v1, v2 = symplectic_split(v.data, frame)
-    return np.concatenate([v1, sign * v2.conj()])
-
-
-def _from_pair_coords(c: np.ndarray, frame: Frame, sign: float) -> QVector:
-    """Inverse of :func:`_pair_coords` for the same sign."""
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    n = c.size // 2
-    return QVector(symplectic_join(c[:n], sign * c[n:].conj(), frame))
-
-
 def embed_vector(v: QVector, frame: Frame = STANDARD_FRAME) -> np.ndarray:
-    """psi(v) = (v1; -conj(v2)) in C^(2n); satisfies chi(T) psi(v) = psi(Tv)."""
-    return _pair_coords(v, frame, -1.0)
+    """psi(v) = (v1; -conj(v2)) in C^(2n) for the split v = v1 + v2*j;
+    satisfies chi(T) psi(v) = psi(Tv)."""
+    v1, v2 = symplectic_split(v.data, frame)
+    return np.concatenate([v1, -v2.conj()])
 
 
 def unembed_vector(c: np.ndarray, frame: Frame = STANDARD_FRAME) -> QVector:
-    return _from_pair_coords(c, frame, -1.0)
+    """Inverse of :func:`embed_vector`."""
+    c = np.asarray(c, dtype=complex).reshape(-1)
+    n = c.size // 2
+    return QVector(symplectic_join(c[:n], -c[n:].conj(), frame))
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> dict:
@@ -325,21 +317,6 @@ def complex_matrix_from_json(payload: dict) -> np.ndarray:
     if mat.shape[0] != payload["n2"]:
         raise DimensionError("declared size does not match entry arrays")
     return mat
-
-
-def right_coords(v: QVector, frame: Frame = STANDARD_FRAME) -> np.ndarray:
-    """Coordinates (v1, conj(v2)) in C^(2n).
-
-    This map is complex-linear for the right multiplication by scalars in
-    the plane of frame.i and isometric for the complex part of the inner
-    product, which makes it the right carrier for Gram-Schmidt over that
-    plane.
-    """
-    return _pair_coords(v, frame, 1.0)
-
-
-def from_right_coords(c: np.ndarray, frame: Frame = STANDARD_FRAME) -> QVector:
-    return _from_pair_coords(c, frame, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -166,18 +166,18 @@ class ImaginaryUnit:
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float).reshape(3).copy()
         n = float(np.linalg.norm(d))
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:      # also rejects NaN and inf
             raise StructureError(f"imaginary unit direction has norm {n!r}")
         d.flags.writeable = False
         object.__setattr__(self, "direction", d)
 
     @classmethod
     def from_vector(cls, v) -> "ImaginaryUnit":
-        """Normalize an arbitrary nonzero 3-vector into a unit."""
+        """Normalize an arbitrary nonzero finite 3-vector into a unit."""
         v = np.asarray(v, dtype=float).reshape(3)
         n = np.linalg.norm(v)
-        if n == 0.0:
-            raise StructureError("zero vector has no direction")
+        if not 0.0 < n < math.inf:
+            raise StructureError(f"vector of norm {n!r} has no direction")
         return cls(v / n)
 
     def as_quaternion(self) -> Quaternion:

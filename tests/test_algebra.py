@@ -6,11 +6,14 @@ nullspace oracle that assembles the constraint matrix by brute-force
 application of T -> [G, T] to every basis matrix.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qreduce import sampling
+from qreduce import algebra as algebra_module, sampling
 from qreduce.algebra import (
     GAP_CUTOFF,
     SV_CUTOFF,
@@ -34,7 +37,6 @@ from qreduce.algebra import (
     right_mult_matrix,
     same_symmetry,
     subspace_gap,
-    unvec,
     vec,
 )
 from qreduce.errors import (
@@ -108,7 +110,7 @@ def pairwise_closure(algebra: StarAlgebra) -> CommutantBasis:
                                      full_matrices=False)
         new_rows = vh[svals > SV_CUTOFF * svals[0]]
         if new_rows.shape[0] == rows.shape[0]:
-            return CommutantBasis([unvec(r, n) for r in new_rows], new_rows)
+            return CommutantBasis(new_rows)
         rows = new_rows
 
 
@@ -144,13 +146,13 @@ def svd_nullspace_rows(constraint: np.ndarray, cutoff: float,
     return vh[int(np.sum(svals > threshold)):]
 
 
-def svd_commutant(mats: list[QMatrix], n: int) -> CommutantBasis:
+def svd_commutant(mats: list[QMatrix]) -> CommutantBasis:
     """Reference commutant: per-generator constraint blocks, SVD rule."""
     constraint = np.concatenate(
         [left_mult_matrix(g) - right_mult_matrix(g) for g in mats])
     rows = svd_nullspace_rows(constraint, SV_CUTOFF,
                               max(g.frob() for g in mats))
-    return CommutantBasis([unvec(r, n) for r in rows], rows)
+    return CommutantBasis(rows)
 
 
 def row_space_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -213,8 +215,8 @@ def test_commutant_matches_svd_rule_on_planted_algebras():
         for algebra in algebras:
             comm = commutant(algebra)
             bicomm = bicommutant(algebra)
-            ref_comm = svd_commutant(algebra.generators, n)
-            ref_bicomm = svd_commutant(ref_comm.basis, n)
+            ref_comm = svd_commutant(algebra.generators)
+            ref_bicomm = svd_commutant(ref_comm.basis)
             assert comm.dim_r == ref_comm.dim_r
             assert bicomm.dim_r == ref_bicomm.dim_r
             assert subspace_gap(comm, ref_comm) <= 1e-12
@@ -309,7 +311,7 @@ def test_commutant_matches_oracle():
         fast = commutant(algebra)
         slow_rows = oracle_commutant(algebra.generators, n)
         assert fast.dim_r == slow_rows.shape[0]
-        slow = CommutantBasis([unvec(r, n) for r in slow_rows], slow_rows)
+        slow = CommutantBasis(slow_rows)
         assert subspace_gap(fast, slow) <= 1e-8
 
 
@@ -426,7 +428,8 @@ def test_is_irreducible():
     assert is_irreducible(StarAlgebra(gens))
 
 
-def test_is_irreducible_matches_loop_reference():
+def irreducibility_cases() -> list[tuple[StarAlgebra, bool]]:
+    """Block-diagonal (reducible) and planted (irreducible) algebras."""
     rng = np.random.default_rng(43)
     cases = [(block_diagonal_algebra(rng, half), False) for half in (1, 2, 3)]
     for n in (2, 3, 4):
@@ -435,9 +438,52 @@ def test_is_irreducible_matches_loop_reference():
                       True))
         cases.append((StarAlgebra(sampling.plant_real_induced(rng, n)[0]),
                       True))
-    for algebra, expected in cases:
+    return cases
+
+
+def test_is_irreducible_matches_loop_reference():
+    for algebra, expected in irreducibility_cases():
         assert loop_is_irreducible(algebra) is expected
         assert is_irreducible(algebra) is expected
+
+
+def test_witness_exists_iff_reducible():
+    """The verdict and the witness come from one scan of the commutant
+    basis: planted cases, and block-diagonal algebras whose blocks are
+    coupled by eps from 1e-1 to 1e-14."""
+    algebras = [algebra for algebra, _ in irreducibility_cases()]
+    rng = np.random.default_rng(44)
+    for half in (1, 2, 3):
+        n = 2 * half
+        blocks = block_diagonal_algebra(rng, half).generators[1:]
+        coupling = np.zeros((n, n, 4))
+        coupling[:half, half:] = rng.standard_normal((half, half, 4))
+        algebras += [StarAlgebra([blocks[0] + QMatrix(coupling) * 10.0 ** -k]
+                                 + blocks[1:]) for k in range(1, 15)]
+    verdicts = set()
+    for algebra in algebras:
+        irreducible = is_irreducible(algebra)
+        verdicts.add(irreducible)
+        assert (reducibility_witness(algebra) is None) is irreducible
+    assert verdicts == {True, False}
+
+
+def test_algebra_draws_random_numbers_only_in_reduce_system():
+    """Commutant, irreducibility and classification verdicts are seed-free:
+    only the sampled reduction certificates may touch an RNG."""
+    tree = ast.parse(Path(algebra_module.__file__).read_text())
+    offenders = set()
+    for node in tree.body:
+        if getattr(node, "name", None) == "reduce_system":
+            continue
+        for sub in ast.walk(node):
+            names = [getattr(sub, "id", None), getattr(sub, "attr", None),
+                     getattr(sub, "arg", None)]
+            names += [alias.name for alias in getattr(sub, "names", [])
+                      if isinstance(alias, ast.alias)]
+            offenders.update(name for name in names if name and any(
+                word in name.lower() for word in ("random", "rng", "seed")))
+    assert offenders == set()
 
 
 def test_reducibility_witness_is_invariant_projection():

@@ -271,3 +271,41 @@ def test_tolerance_scale_env(tmp_path, capsys, monkeypatch):
                               "--trials", "5")
     assert code == 0
     assert report["artifacts"]["tol_scale"] == pytest.approx(1000.0)
+
+
+def _hostile_case(tmp_path, monkeypatch, case):
+    """argv for one hostile invocation; files hold an n=2 complex-induced
+    algebra unless the case is about the file itself."""
+    rng = np.random.default_rng(8)
+    gens, _ = sampling.plant_complex_induced(rng, 2)
+    system = _write_algebra(tmp_path, gens)
+    verify = ["verify", "--dims", "2", "--trials", "1"]
+    if case == "n_zero":
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "generators": []}))
+        return ["classify", str(path)]
+    if case == "n_above_cap":
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"n": 9, "generators": []}))
+        return ["classify", str(path)]
+    if case == "evolution_size":
+        path = _write_algebra(tmp_path, gens, name="mixed.json", extra={
+            "evolution": [QMatrix.identity(3).to_json()]})
+        return ["reduce", str(path)]
+    if case.startswith("tol_"):
+        return verify + ["--tol", case[4:]]
+    if case == "env_not_a_number":
+        monkeypatch.setenv("QR_TOL_SCALE", "abc")
+        return verify
+    return ["reduce", str(system), "--i-axis", case[5:]]
+
+
+@pytest.mark.parametrize("case", [
+    "n_zero", "n_above_cap", "evolution_size", "tol_inf", "tol_nan",
+    "tol_0", "tol_-1", "env_not_a_number", "axis_nan,0,0", "axis_inf,0,0"])
+def test_hostile_cli_input_exits_2(tmp_path, capsys, monkeypatch, case):
+    argv = _hostile_case(tmp_path, monkeypatch, case)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report["status"] == "error"
+    assert "Traceback" not in err
