@@ -45,38 +45,16 @@ from .qlinalg import (
     outer,
     spectral_projections,
 )
-from .quat import ImaginaryUnit, conj4, matmul4, mul4
+from .quat import QTENSOR, ImaginaryUnit, conj4, matmul4
 from .report import Check
 
 SV_CUTOFF = 1e-9
 MEMBERSHIP_TOL = 1e-8
 GAP_CUTOFF = 1e-7
 
-_EYE4 = np.eye(4)
-_QTENSOR = np.stack([
-    np.stack([mul4(_EYE4[a], _EYE4[b]) for b in range(4)])
-    for a in range(4)
-])  # e_a e_b = sum_c _QTENSOR[a, b, c] e_c
-
 
 def vec(t: QMatrix) -> np.ndarray:
     return t.data.reshape(-1)
-
-
-def left_mult_matrix(g: QMatrix) -> np.ndarray:
-    """Real (4n^2, 4n^2) matrix of T -> G T on vectorized matrices."""
-    n = g.n
-    gl = np.einsum("abc,mna->mcnb", _QTENSOR, g.data)
-    full = np.einsum("mcnb,kl->mkcnlb", gl, np.eye(n))
-    return full.reshape(4 * n * n, 4 * n * n)
-
-
-def right_mult_matrix(g: QMatrix) -> np.ndarray:
-    """Real (4n^2, 4n^2) matrix of T -> T G on vectorized matrices."""
-    n = g.n
-    gr = np.einsum("abc,nkb->kcna", _QTENSOR, g.data)
-    full = np.einsum("kcna,ml->mkclna", gr, np.eye(n))
-    return full.reshape(4 * n * n, 4 * n * n)
 
 
 @dataclass(frozen=True)
@@ -111,18 +89,18 @@ class CommutantBasis:
 
 
 def _commutator_constraint(gens: np.ndarray) -> np.ndarray:
-    """Stacked real matrices of T -> G T - T G for a (k, n, n, 4) stack of
-    generators: shape (k 4n^2, 4n^2), the k blocks of
-    left_mult_matrix(G) - right_mult_matrix(G) built in one pass."""
+    """Stacked real matrices of T -> G T - T G on vectorized T for a
+    (k, n, n, 4) stack of generators: shape (k 4n^2, 4n^2), built in one
+    pass from the Hamilton structure tensor."""
     k, n = gens.shape[0], gens.shape[1]
     out = np.zeros((k, n, n, 4, n, n, 4))
     diag = np.arange(n)
     # (G T)[m, l] = sum_p G[m, p] T[p, l]
     out[:, :, diag, :, :, diag, :] = np.einsum(
-        "abc,gmpa->gmcpb", _QTENSOR, gens)
+        "abc,gmpa->gmcpb", QTENSOR, gens)
     # (T G)[m, l] = sum_p T[m, p] G[p, l]
     out[:, diag, :, :, diag, :, :] -= np.einsum(
-        "abc,gplb->glcpa", _QTENSOR, gens)
+        "abc,gplb->glcpa", QTENSOR, gens)
     return out.reshape(k * 4 * n * n, 4 * n * n)
 
 
@@ -168,10 +146,14 @@ def _nullspace_rows(constraint: np.ndarray, cutoff: float,
 
 
 def _commutant_of(mats: np.ndarray) -> CommutantBasis:
-    """Commutant of a (k, n, n, 4) stack of matrices."""
-    scale = max(float(np.linalg.norm(g)) for g in mats)
-    return CommutantBasis(_nullspace_rows(_commutator_constraint(mats),
-                                          SV_CUTOFF, scale))
+    """Commutant of a (k, n, n, 4) stack of matrices.
+
+    The commutant of c G is that of G, so each nonzero matrix is scaled to
+    unit Frobenius norm first and the cutoff is relative at every scale."""
+    norms = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
+    unit = mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
+    return CommutantBasis(_nullspace_rows(_commutator_constraint(unit),
+                                          SV_CUTOFF, 1.0))
 
 
 class StarAlgebra:

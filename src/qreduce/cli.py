@@ -3,8 +3,9 @@
 Reports are JSON on stdout (deterministic for a fixed seed) with a
 human-readable summary on stderr.  Exit codes: 0 all checks pass, 1 a
 check failed or the run ended with a domain error, 2 usage or input
-error.  The environment variable QR_TOL_SCALE multiplies every default
-tolerance, as does the --tol flag; both must be finite and positive.
+error.  The environment variable QR_TOL_SCALE multiplies the tolerance of
+every reported check, as does the --tol flag; both must be finite and
+positive.  Decision thresholds (commutant rank, irreducibility) are fixed.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -210,7 +212,8 @@ def cmd_classify(args) -> int:
         return _finish(report, args)
 
     verdict = classify_irreducible(algebra)
-    checks = _classification_checks(verdict, algebra)
+    checks = [c.scaled(args.tol_scale)
+              for c in _classification_checks(verdict, algebra)]
     report = {
         "command": "classify",
         "status": "pass" if all(c.passed for c in checks) else "fail",
@@ -253,6 +256,8 @@ def cmd_reduce(args) -> int:
         }
         return _finish(report, args)
 
+    result = replace(result, checks=[c.scaled(args.tol_scale)
+                                     for c in result.checks])
     payload = result.to_json()
     report = {
         "command": "reduce",
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=42, help="master RNG seed")
         p.add_argument("--tol", type=float, default=1.0,
-                       help="multiplier on all default tolerances")
+                       help="multiplier on every check tolerance")
         p.add_argument("--output", type=str, default=None,
                        help="also write the JSON report to this path")
 

@@ -4,9 +4,11 @@ Sign convention, fixed here once for the whole package: the generating
 units satisfy e1*e2 = +e3 (right-handed Hamilton product).  A quaternion
 is stored as the four real coefficients (w, x, y, z) of (1, e1, e2, e3).
 
-Vectorized helpers operate on float arrays whose last axis has length 4
-and carry the same convention; they are the computational backbone of
-the matrix layer.  Coordinates along a frame, and with them the
+The product table is written once, as the structure tensor `QTENSOR`
+with e_a e_b = sum_c QTENSOR[a, b, c] e_c, and every product in the
+package contracts against it.  Vectorized helpers operate on float arrays
+whose last axis has length 4; they are the computational backbone of the
+matrix layer.  Coordinates along a frame, and with them the
 symplectic split q = z1 + z2*j, are computed only by `to_frame` and
 `from_frame`.
 """
@@ -23,23 +25,28 @@ DEFAULT_TOL = 1e-12
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
+# The Hamilton table: e_a e_b = sign * e_(a xor b), with the sign below
+# (rows a, columns b, units ordered 1, e1, e2, e3), so e1 e2 = +e3.
+QTENSOR = np.zeros((4, 4, 4))
+_A, _B = np.indices((4, 4))
+QTENSOR[_A, _B, _A ^ _B] = [[1, 1, 1, 1],
+                            [1, -1, 1, -1],
+                            [1, -1, -1, 1],
+                            [1, 1, -1, -1]]
+QTENSOR.flags.writeable = False
+# (a_a b_b) pairs -> product components, and an entry a -> its left-regular
+# 4x4 block L[c, b] = sum_a a_a QTENSOR[a, b, c], flattened row-major.
+_PAIR_TO_PRODUCT = QTENSOR.reshape(16, 4)
+_ENTRY_TO_LEFT = QTENSOR.transpose(0, 2, 1).reshape(4, 16)
+
 
 # ---------------------------------------------------------------------------
 # vectorized kernel: arrays of shape (..., 4)
 
 def mul4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of component arrays, broadcasting over leading axes."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (16,)) @ _PAIR_TO_PRODUCT
 
 
 def conj4(a: np.ndarray) -> np.ndarray:
@@ -56,19 +63,17 @@ def matmul4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     `a` has shape (..., m, n, 4) and `b` shape (..., n, k, 4); entries
     multiply on the left of the column factor, matching the action of a
-    right-linear operator on column vectors.
+    right-linear operator on column vectors.  The product is one real
+    matmul: `a` as its (4m, 4n) matrix of left-regular 4x4 blocks times
+    `b` as a (4n, k) matrix.
     """
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw @ bw - ax @ bx - ay @ by - az @ bz,
-            aw @ bx + ax @ bw + ay @ bz - az @ by,
-            aw @ by - ax @ bz + ay @ bw + az @ bx,
-            aw @ bz + ax @ by - ay @ bx + az @ bw,
-        ],
-        axis=-1,
-    )
+    *lead_a, m, n, _ = a.shape
+    *lead_b, _, k, _ = b.shape
+    left = (a @ _ENTRY_TO_LEFT).reshape(*lead_a, m, n, 4, 4)
+    left = left.swapaxes(-3, -2).reshape(*lead_a, 4 * m, 4 * n)
+    cols = b.swapaxes(-2, -1).reshape(*lead_b, 4 * n, k)
+    prod = left @ cols
+    return prod.reshape(*prod.shape[:-2], m, 4, k).swapaxes(-2, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Check records shared by the reduction pipeline, the verifier and the CLI."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -15,6 +15,10 @@ class Check:
     @property
     def passed(self) -> bool:
         return bool(self.residual <= self.tolerance)
+
+    def scaled(self, factor: float) -> "Check":
+        """The same check with its tolerance multiplied by factor."""
+        return replace(self, tolerance=self.tolerance * factor)
 
     def to_json(self) -> dict:
         return {

@@ -43,6 +43,7 @@ from .qlinalg import (
     polar_antiselfadjoint,
 )
 from .quat import (
+    QTENSOR,
     Quaternion,
     frame_complete,
     sphere_representative,
@@ -256,20 +257,9 @@ def _random_orthogonal(rng, n):
 
 
 def _left_unit_pair(n):
-    i4 = np.array([
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ])
-    j4 = np.array([
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-    ])
-    reps = n // 4
-    return np.kron(np.eye(reps), i4), np.kron(np.eye(reps), j4)
+    """Left multiplication by e1 and by e2 on R^n = H^(n/4)."""
+    eye = np.eye(n // 4)
+    return np.kron(eye, QTENSOR[1].T), np.kron(eye, QTENSOR[2].T)
 
 
 def prop_internal_constructions(seed_seq, dims, trials, tol_scale):
@@ -426,8 +416,8 @@ def prop_reduction(seed_seq, dims, trials, tol_scale):
                 if prev is None or check.residual > prev.residual:
                     worst[check.name] = check
         for name, check in worst.items():
-            checks.append(Check(f"reduce_{name}_n{n}",
-                                check.residual, check.tolerance * tol_scale))
+            checks.append(Check(f"reduce_{name}_n{n}", check.residual,
+                                check.tolerance).scaled(tol_scale))
     return checks
 
 

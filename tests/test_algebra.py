@@ -30,11 +30,9 @@ from qreduce.algebra import (
     generated_algebra,
     induce_symmetry,
     is_irreducible,
-    left_mult_matrix,
     lueders_update,
     reduce_system,
     reducibility_witness,
-    right_mult_matrix,
     same_symmetry,
     subspace_gap,
     vec,
@@ -55,7 +53,7 @@ from qreduce.qlinalg import (
     outer,
     spectral_projections,
 )
-from qreduce.quat import UNIT_E1, matmul4
+from qreduce.quat import QTENSOR, UNIT_E1, matmul4
 
 
 def matrix_units(n: int) -> list[QMatrix]:
@@ -83,6 +81,22 @@ def oracle_commutant(gens: list[QMatrix], n: int) -> np.ndarray:
     constraint = np.concatenate(blocks)
     null = scipy.linalg.null_space(constraint, rcond=1e-9)
     return null.T  # rows span the commutant
+
+
+def left_mult_matrix(g: QMatrix) -> np.ndarray:
+    """Reference real (4n^2, 4n^2) matrix of T -> G T on vectorized T."""
+    n = g.n
+    gl = np.einsum("abc,mna->mcnb", QTENSOR, g.data)
+    full = np.einsum("mcnb,kl->mkcnlb", gl, np.eye(n))
+    return full.reshape(4 * n * n, 4 * n * n)
+
+
+def right_mult_matrix(g: QMatrix) -> np.ndarray:
+    """Reference real (4n^2, 4n^2) matrix of T -> T G on vectorized T."""
+    n = g.n
+    gr = np.einsum("abc,nkb->kcna", QTENSOR, g.data)
+    full = np.einsum("kcna,ml->mkclna", gr, np.eye(n))
+    return full.reshape(4 * n * n, 4 * n * n)
 
 
 def test_mult_matrices_match_direct_products():
@@ -146,13 +160,17 @@ def svd_nullspace_rows(constraint: np.ndarray, cutoff: float,
     return vh[int(np.sum(svals > threshold)):]
 
 
+def unit_norm(mats: list[QMatrix]) -> list[QMatrix]:
+    """Each nonzero matrix scaled to unit Frobenius norm."""
+    return [g * (1.0 / g.frob()) if g.frob() > 0.0 else g for g in mats]
+
+
 def svd_commutant(mats: list[QMatrix]) -> CommutantBasis:
-    """Reference commutant: per-generator constraint blocks, SVD rule."""
+    """Reference commutant: per-generator constraint blocks of the unit-norm
+    matrices, SVD rule at scale 1."""
     constraint = np.concatenate(
-        [left_mult_matrix(g) - right_mult_matrix(g) for g in mats])
-    rows = svd_nullspace_rows(constraint, SV_CUTOFF,
-                              max(g.frob() for g in mats))
-    return CommutantBasis(rows)
+        [left_mult_matrix(g) - right_mult_matrix(g) for g in unit_norm(mats)])
+    return CommutantBasis(svd_nullspace_rows(constraint, SV_CUTOFF, 1.0))
 
 
 def row_space_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -239,9 +257,8 @@ def test_near_reducible_algebra_matches_svd_rule(half):
 
     def coupled(eps):
         algebra = StarAlgebra([blocks[0] + coupling * eps] + blocks[1:])
-        gens = np.stack([g.data for g in algebra.generators])
-        return (algebra, _commutator_constraint(gens),
-                max(g.frob() for g in algebra.generators))
+        gens = np.stack([g.data for g in unit_norm(algebra.generators)])
+        return algebra, _commutator_constraint(gens), 1.0
 
     _, constraint, scale = coupled(1e-6)
     svals = np.linalg.svd(constraint, compute_uv=False)
@@ -466,6 +483,26 @@ def test_witness_exists_iff_reducible():
         verdicts.add(irreducible)
         assert (reducibility_witness(algebra) is None) is irreducible
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_verdicts_invariant_under_generator_scaling(n):
+    """The commutant of c G is that of G: planted proper, complex-induced
+    and real-induced algebras keep their commutant dimension,
+    irreducibility and kind when every generator is scaled by c."""
+    rng = np.random.default_rng(48 + n)
+    plants = [sampling.plant_proper(rng, n),
+              sampling.plant_complex_induced(rng, n)[0],
+              sampling.plant_real_induced(rng, n)[0]]
+    for gens in plants:
+        algebra = StarAlgebra(gens)
+        expected = (commutant(algebra).dim_r, is_irreducible(algebra),
+                    classify_irreducible(algebra).kind)
+        for c in (1e-12, 1e-10, 1.0, 1e10, 1e12):
+            scaled = StarAlgebra([g * c for g in gens])
+            verdict = (commutant(scaled).dim_r, is_irreducible(scaled),
+                       classify_irreducible(scaled).kind)
+            assert verdict == expected, (c, verdict, expected)
 
 
 def test_algebra_draws_random_numbers_only_in_reduce_system():

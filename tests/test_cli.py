@@ -260,6 +260,26 @@ def test_demo_counitary(capsys):
     assert max(report["artifacts"]["rmqq_residuals"]) <= 1e-10
 
 
+@pytest.mark.parametrize("command", ["classify", "reduce"])
+def test_tolerance_scale_reaches_classify_and_reduce(tmp_path, capsys,
+                                                     monkeypatch, command):
+    rng = np.random.default_rng(9)
+    gens, _ = sampling.plant_complex_induced(rng, 2)
+    path = _write_algebra(tmp_path, gens)
+    code, default, _ = run_cli(capsys, command, str(path))
+    assert code == 0
+    assert default["status"] == "pass"
+    code, tight, _ = run_cli(capsys, command, str(path), "--tol", "1e-9")
+    assert code == 1
+    assert tight["status"] == "fail"
+    assert [c["tolerance"] for c in tight["checks"]] == pytest.approx(
+        [1e-9 * c["tolerance"] for c in default["checks"]])
+    monkeypatch.setenv("QR_TOL_SCALE", "1e-9")
+    code, env, _ = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert env == tight
+
+
 def test_demo_unknown_rejected(capsys):
     code, _, _ = run_cli(capsys, "demo", "nonsense")
     assert code == 2

@@ -1,5 +1,6 @@
 """Unit and property tests for the scalar quaternion layer."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from qreduce.quat import (
     E2,
     E3,
     ONE,
+    QTENSOR,
     Frame,
     ImaginaryUnit,
     Quaternion,
@@ -20,6 +22,7 @@ from qreduce.quat import (
     conj4,
     frame_complete,
     from_frame,
+    matmul4,
     mul4,
     norm4,
     sphere_representative,
@@ -27,6 +30,25 @@ from qreduce.quat import (
     symplectic_split,
     to_frame,
 )
+
+
+def hamilton_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Hamilton product written out term by term, broadcasting over
+    leading axes: an independent reference for the structure-tensor kernel."""
+    aw, ax, ay, az = np.moveaxis(a, -1, 0)
+    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quaternion matrix product as a sum of reference entry products."""
+    return hamilton_reference(a[..., :, :, None, :],
+                              b[..., None, :, :, :]).sum(axis=-3)
 
 
 def random_quaternion(rng) -> Quaternion:
@@ -98,9 +120,77 @@ def test_vectorized_kernel_matches_scalar():
     for row_a, row_b, row_p in zip(a, b, prod):
         expected = Quaternion.from_array(row_a) * Quaternion.from_array(row_b)
         np.testing.assert_allclose(row_p, expected.as_array(), atol=1e-13)
+        np.testing.assert_allclose(row_p, hamilton_reference(row_a, row_b),
+                                   atol=1e-13)
     np.testing.assert_allclose(conj4(a)[:, 0], a[:, 0])
     np.testing.assert_allclose(conj4(a)[:, 1:], -a[:, 1:])
     np.testing.assert_allclose(norm4(a), [abs(Quaternion.from_array(r)) for r in a])
+
+
+def test_structure_tensor_is_the_hamilton_table():
+    eye = np.eye(4)
+    np.testing.assert_array_equal(mul4(eye[:, None], eye[None, :]), QTENSOR)
+    np.testing.assert_array_equal(
+        hamilton_reference(eye[:, None], eye[None, :]), QTENSOR)
+    assert not QTENSOR.flags.writeable
+
+
+def relative_error(got: np.ndarray, ref: np.ndarray, a: np.ndarray,
+                   b: np.ndarray, terms: int) -> float:
+    """Largest deviation over the rounding scale of a sum of `terms`
+    quaternion products of entries of a and b."""
+    assert got.shape == ref.shape
+    scale = terms * np.abs(a).max() * np.abs(b).max()
+    return float(np.abs(got - ref).max()) / scale
+
+
+@pytest.mark.parametrize("c", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_kernel_matches_reference_on_package_shapes(n, c):
+    """mul4 and matmul4 against the term-by-term reference on every shape
+    the package multiplies, at tiny, unit and huge scales."""
+    rng = np.random.default_rng(29 + n)
+
+    def draw(*shape):
+        return c * rng.standard_normal(shape + (4,))
+
+    products = [((), ()), ((n,), ()), ((n, 1), (1, n))]
+    for shape_a, shape_b in products:
+        a, b = draw(*shape_a), draw(*shape_b)
+        assert relative_error(mul4(a, b), hamilton_reference(a, b),
+                              a, b, 1) <= 1e-15
+    matmuls = [((n, n), (n, n)), ((n, n), (n, 1)), ((n, n), (n, 2 * n)),
+               ((3, 1, n, n), (1, 5, n, n))]
+    for shape_a, shape_b in matmuls:
+        a, b = draw(*shape_a), draw(*shape_b)
+        assert relative_error(matmul4(a, b), matmul_reference(a, b),
+                              a, b, n) <= 1e-15
+
+
+def test_hamilton_table_assigned_only_in_quat():
+    """The product convention is written once: no module but `quat` assigns
+    a structure tensor or spells out a 4x4 table of numbers."""
+    def is_table(node):
+        rows = getattr(node, "elts", None)
+        return (isinstance(node, (ast.List, ast.Tuple)) and len(rows) == 4
+                and all(isinstance(row, (ast.List, ast.Tuple))
+                        and len(row.elts) == 4 for row in rows))
+
+    src = Path(qreduce.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "quat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = getattr(node, "targets", None) or [
+                getattr(node, "target", None)]
+            names = [sub.id for target in targets if target is not None
+                     for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+            offenders += [(path.name, name) for name in names
+                          if "tensor" in name.lower()]
+            if is_table(node):
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
 
 
 def test_symplectic_split_example():
