@@ -8,9 +8,13 @@ eigendecomposition of the 4n^2 x 4n^2 Gram matrix settles every direction
 whose singular value lies far above the cutoff.  The constraint restricted
 to the few remaining candidate directions then decides them with the same
 relative cutoff that an SVD of the whole constraint would apply.
-Everything else (bicommutant, center, irreducibility, the R/C/H trichotomy
-of irreducible algebras and the reduction of complex-induced systems to
-their component space) is layered on top of that one primitive.
+The bicommutant and the center are commutants too.  Irreducibility and
+the R/C/H trichotomy are read off one split of the commutant into its
+traceless selfadjoint and skew parts: the commutant of a *-closed
+generator set is a *-algebra that contains I, so projecting its
+orthonormal basis onto either part has singular values exactly 0 or 1 at
+every scale, and a cut at 1/2 is scale-free with a margin of about 1/2.
+The reduction of complex-induced systems is layered on top.
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ from .qlinalg import (
     QMatrix,
     QVector,
     classify_operator,
-    complex_embed,
     complex_matrix_to_json,
     is_unitary,
     outer,
@@ -50,7 +53,6 @@ from .report import Check
 
 SV_CUTOFF = 1e-9
 MEMBERSHIP_TOL = 1e-8
-GAP_CUTOFF = 1e-7
 
 
 def vec(t: QMatrix) -> np.ndarray:
@@ -84,8 +86,8 @@ class CommutantBasis:
         scale = max(1.0, float(np.linalg.norm(x)))
         return float(np.linalg.norm(x - self.mat.T @ (self.mat @ x))) / scale
 
-    def contains(self, t: QMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.membership_residual(t) <= tol
+    def contains(self, t: QMatrix) -> bool:
+        return self.membership_residual(t) <= MEMBERSHIP_TOL
 
 
 def _commutator_constraint(gens: np.ndarray) -> np.ndarray:
@@ -174,7 +176,7 @@ class StarAlgebra:
             if g.n != n:
                 raise ValueError("generators have mixed dimensions")
             gens.append(g)
-            if (g - g.H).frob() > 1e-14 * max(1.0, g.frob()):
+            if (g - g.H).frob() > 1e-14 * g.frob():
                 gens.append(g.H)
         self.generators = gens
         self._commutant: CommutantBasis | None = None
@@ -209,14 +211,13 @@ def bicommutant(algebra: StarAlgebra) -> CommutantBasis:
 
 
 def center(algebra: StarAlgebra) -> CommutantBasis:
-    """Intersection of the algebra (bicommutant) with its commutant."""
-    comm = algebra.commutant_basis()
-    bicomm = algebra.bicommutant_basis()
-    eye = np.eye(comm.mat.shape[1])
-    complement = ((eye - comm.mat.T @ comm.mat)
-                  + (eye - bicomm.mat.T @ bicomm.mat))
-    vals, vecs = np.linalg.eigh(complement)
-    return CommutantBasis(vecs[:, vals < SV_CUTOFF].T)
+    """The intersection of the commutant A' and the bicommutant A'': the
+    commutant of the generators together with the commutant basis, since
+    what commutes with the generators lies in A' and what commutes with A'
+    lies in A''."""
+    return _commutant_of(np.concatenate(
+        [np.stack([g.data for g in algebra.generators]),
+         algebra.commutant_basis().stack]))
 
 
 def _row_span(stack: np.ndarray) -> np.ndarray:
@@ -260,42 +261,53 @@ def subspace_gap(a: CommutantBasis, b: CommutantBasis) -> float:
 # irreducibility and classification
 
 
-def _spread_exceeds(stack: np.ndarray) -> np.ndarray:
-    """For each (n, n, 4) component array in stack: whether its selfadjoint
-    part has a spectral spread beyond GAP_CUTOFF times max(1, its norm)."""
-    sym = 0.5 * (stack + conj4(np.swapaxes(stack, -3, -2)))
-    vals = np.linalg.eigvalsh(complex_embed(sym))
-    scale = np.maximum(1.0, np.linalg.norm(sym.reshape(len(sym), -1), axis=1))
-    return vals[:, -1] - vals[:, 0] > GAP_CUTOFF * scale
+def _commutant_split(algebra: StarAlgebra
+                     ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(orthonormal rows, singular values) of the projection of the
+    commutant basis onto the traceless selfadjoint matrices, then onto the
+    skew ones.  The adjoint is an isometry of the trace form that maps the
+    commutant, which contains I, to itself, so each projection restricts an
+    orthogonal one: its singular values are 0 or 1, and the rows kept are
+    those above 1/2."""
+    stack = algebra.commutant_basis().stack
+    adj = conj4(np.swapaxes(stack, 1, 2))
+    identity = vec(QMatrix.identity(algebra.n)) / math.sqrt(algebra.n)
+    sym = 0.5 * (stack + adj).reshape(len(stack), -1)
+    sym -= np.outer(sym @ identity, identity)
+    skew = 0.5 * (stack - adj).reshape(len(stack), -1)
+    parts = []
+    for part in (sym, skew):
+        _, svals, vh = np.linalg.svd(part, full_matrices=False)
+        parts.append((vh[svals > 0.5], svals))
+    return tuple(parts)
 
 
 def is_irreducible(algebra: StarAlgebra) -> bool:
     """True iff every projection in the commutant is trivial.
 
-    A nontrivial commutant projection P = sum_k c_k b_k over the basis b_k
-    is its own selfadjoint part, so it is scalar unless some b_k has a
-    selfadjoint part with separated eigenspheres; such a part in turn
-    yields a nontrivial invariant projection.  The basis is therefore
-    scanned, as one batch, for a spectral spread beyond GAP_CUTOFF.
+    A nontrivial commutant projection is selfadjoint and not scalar, and a
+    nonscalar selfadjoint commutant element has nontrivial spectral
+    projections, which lie in the commutant.  So the algebra is irreducible
+    iff the traceless selfadjoint part of the commutant is empty, a rank
+    that :func:`_commutant_split` decides at the scale-free cut 1/2.
     """
-    return not _spread_exceeds(algebra.commutant_basis().stack).any()
+    (sym, _), _ = _commutant_split(algebra)
+    return len(sym) == 0
 
 
 def reducibility_witness(algebra: StarAlgebra) -> QMatrix | None:
-    """A nontrivial commutant projection, taken from the basis elements that
-    the :func:`is_irreducible` scan flags; None for an irreducible algebra."""
-    basis = algebra.commutant_basis().stack
-    ident = QMatrix.identity(algebra.n)
-    for b in basis[_spread_exceeds(basis)]:
-        b = QMatrix(b)
-        for _, p in spectral_projections((b + b.H) * 0.5):
-            if p.frob() > 0.5 and (p - ident).frob() > 0.5:
-                return p
-    return None
+    """A nontrivial commutant projection: a spectral projection of the
+    first traceless selfadjoint row of the split; None for an irreducible
+    algebra.  That row is traceless with unit norm, so it has at least two
+    eigenspheres and its first projection is neither 0 nor I."""
+    (sym, _), _ = _commutant_split(algebra)
+    if len(sym) == 0:
+        return None
+    n = algebra.n
+    return spectral_projections(QMatrix(sym[0].reshape(n, n, 4)))[0][1]
 
 
-def extract_anti_unit(t: QMatrix, tol: float = 1e-8
-                      ) -> tuple[float, float, QMatrix | None]:
+def extract_anti_unit(t: QMatrix) -> tuple[float, float, QMatrix | None]:
     """Split an element of a scalar commutant as T = a I + b J.
 
     T must have scalar selfadjoint part and scalar squared skew part; the
@@ -312,7 +324,8 @@ def extract_anti_unit(t: QMatrix, tol: float = 1e-8
     skew_sq = skew @ skew
     c = skew_sq.trace().w / n
     res_sq = (skew_sq - ident * c).frob()
-    if res_sym > tol * scale or res_sq > tol * scale * scale:
+    tol = MEMBERSHIP_TOL * scale
+    if res_sym > tol or res_sq > tol * scale:
         raise NotInScalarCommutant(max(res_sym, res_sq))
     if c > 1e-10 * scale * scale:
         raise NotInScalarCommutant(c, "skew part squares to a positive scalar")
@@ -321,7 +334,7 @@ def extract_anti_unit(t: QMatrix, tol: float = 1e-8
     b = float(np.sqrt(-c))
     j = skew * (1.0 / b)
     recon = (t - ident * a - j * b).frob()
-    if recon > tol * scale:
+    if recon > tol:
         raise NotInScalarCommutant(recon)
     return a, b, j
 
@@ -354,86 +367,70 @@ class Classification:
         return payload
 
 
-def classify_irreducible(algebra: StarAlgebra,
-                         tol: float = 1e-8) -> Classification:
-    """Branch on the real dimension of the commutant: 1, 2 or 4.
+_KINDS = {0: "ProperQuaternionic", 1: "ComplexInduced", 3: "RealInduced"}
 
-    Dimension 2 recovers the up-to-sign unique compatible J; dimension 4
-    recovers an anticommuting triple (I, J, K = I J).  Any other dimension
-    signals a tolerance failure and raises.
+
+def classify_irreducible(algebra: StarAlgebra) -> Classification:
+    """Kind from the dimension of the commutant's skew part: 0, 1 or 3.
+
+    The commutant of an irreducible algebra is R, C or H, with no traceless
+    selfadjoint part; both ranks come from the scale-free split of
+    :func:`_commutant_split`.  An anti-selfadjoint unitary has trace-form
+    norm sqrt(n), so J is sqrt(n) times the one skew row; for H two skew
+    rows give the anticommuting I and J, and K = I J.  Any other rank, or a
+    recovered unit that fails U^2 = -I or anticommutation, raises.
     """
-    if not is_irreducible(algebra):
+    (sym, _), (skew, _) = _commutant_split(algebra)
+    if len(sym):
         raise StructureError("algebra is reducible; classification needs "
                              "an irreducible input")
-    comm = algebra.commutant_basis()
-    dim = comm.dim_r
-    if dim == 1:
-        return Classification("ProperQuaternionic", 1)
-    if dim == 2:
-        skews = [(b - b.H) * 0.5 for b in comm.basis]
-        best = max(skews, key=lambda s: s.frob())
-        _, b_coeff, j = extract_anti_unit(best, tol)
-        if j is None or b_coeff == 0.0:
-            raise InternalInconsistency(
-                "two-dimensional commutant without an anti-selfadjoint unit")
-        return Classification("ComplexInduced", 2, J=_fix_sign(j))
-    if dim == 4:
-        n = algebra.n
-        skews = sorted(((b - b.H) * 0.5 for b in comm.basis),
-                       key=lambda s: -s.frob())
-        _, _, first = extract_anti_unit(skews[0], tol)
-        if first is None:
-            raise InternalInconsistency("commutant skew part is degenerate")
-        second = None
-        for cand in skews[1:]:
-            anti = cand @ first + first @ cand
-            c = anti.trace().w / n
-            if (anti - QMatrix.identity(n) * c).frob() > tol * max(
-                    1.0, cand.frob()):
-                raise InternalInconsistency(
-                    "anticommutator with the first unit is not scalar")
-            reduced = cand + first * (0.5 * c)
-            if reduced.frob() > 1e-6:
-                second = reduced
-                break
-        if second is None:
-            raise InternalInconsistency(
-                "could not find a second independent anti-selfadjoint unit")
-        _, _, j_unit = extract_anti_unit(second, tol)
-        i_unit = _fix_sign(first)
-        j_unit = _fix_sign(j_unit)
-        anti = (i_unit @ j_unit + j_unit @ i_unit).frob()
-        if anti > tol * max(1.0, i_unit.frob() * j_unit.frob()):
-            raise InternalInconsistency(
-                f"recovered units fail to anticommute (residual {anti:.2e})")
-        k_unit = i_unit @ j_unit
-        return Classification("RealInduced", 4, J=j_unit, I=i_unit, K=k_unit)
-    raise InternalInconsistency(
-        f"irreducible commutant has real dimension {dim}, expected 1, 2 or 4")
+    kind = _KINDS.get(len(skew))
+    if kind is None:
+        raise InternalInconsistency(
+            f"irreducible commutant has a skew part of dimension "
+            f"{len(skew)}, expected 0, 1 or 3")
+    n = algebra.n
+    units = [_fix_sign(QMatrix(math.sqrt(n) * row.reshape(n, n, 4)))
+             for row in skew[:2]]
+    ident = QMatrix.identity(n)
+    residual = max([(u @ u + ident).frob() for u in units], default=0.0)
+    if len(units) == 2:
+        residual = max(residual,
+                       (units[0] @ units[1] + units[1] @ units[0]).frob())
+    if residual > MEMBERSHIP_TOL * math.sqrt(n):
+        raise InternalInconsistency(
+            f"recovered units fail U^2 = -I or anticommutation "
+            f"(residual {residual:.2e})")
+    dim = algebra.commutant_basis().dim_r
+    if len(units) == 2:
+        i_unit, j_unit = units
+        return Classification(kind, dim, J=j_unit, I=i_unit,
+                              K=i_unit @ j_unit)
+    return Classification(kind, dim, J=units[0] if units else None)
 
 
 # ---------------------------------------------------------------------------
 # symmetries and states
 
 
-def induce_symmetry(u: QMatrix, e: QMatrix, tol: float = 1e-10) -> QMatrix:
+def induce_symmetry(u: QMatrix, e: QMatrix) -> QMatrix:
     """Conjugate a projection by a unitary: the lattice automorphism action."""
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise StructureError("symmetry operator must be unitary")
-    if not classify_operator(e, tol).projection:
+    if not classify_operator(e).projection:
         raise StructureError("can only transport projections")
     return u @ e @ u.H
 
 
-def same_symmetry(u: QMatrix, u_prime: QMatrix, algebra: StarAlgebra,
-                  tol: float = MEMBERSHIP_TOL) -> bool:
+def same_symmetry(u: QMatrix, u_prime: QMatrix,
+                  algebra: StarAlgebra) -> bool:
     """Whether two unitaries induce the same lattice automorphism: their
     relative unitary must lie in the center."""
     for op in (u, u_prime):
         if not is_unitary(op):
             raise StructureError("symmetry operators must be unitary")
     relative = u_prime @ u.H
-    return center(algebra).membership_residual(relative) <= tol
+    return center(algebra).contains(relative)
 
 
 @dataclass(frozen=True)
@@ -451,10 +448,9 @@ class StateFunctional:
         return (e @ self.vector).norm() ** 2
 
 
-def lueders_update(mu: StateFunctional, f: QMatrix,
-                   tol: float = 1e-10) -> StateFunctional:
+def lueders_update(mu: StateFunctional, f: QMatrix) -> StateFunctional:
     """Post-measurement state after finding the proposition f true."""
-    if not classify_operator(f, tol).projection:
+    if not classify_operator(f).projection:
         raise StructureError("conditioning event must be a projection")
     p = mu.prob(f)
     if p <= 1e-12:
@@ -517,8 +513,7 @@ def _ray_representative(e: QMatrix, space: SplitSpace,
 
 
 def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
-                  i: ImaginaryUnit, tol: float = 1e-8,
-                  seed: int = 0) -> ReductionReport:
+                  i: ImaginaryUnit, seed: int = 0) -> ReductionReport:
     """Reduce a complex-induced quaternionic system to its component space.
 
     Certifies, with one named check per item:
@@ -559,7 +554,7 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
         rank_h = e.trace().w
         rank_c = float(np.trace(restricted).real)
         worst_rank = max(worst_rank, abs(rank_h - rank_c))
-    checks.append(Check("projection_extension", worst_ext, tol))
+    checks.append(Check("projection_extension", worst_ext, 1e-8))
     checks.append(Check("projection_rank_match", worst_rank, 0.5))
 
     # (c) rank-one lattice projections have plus-space representatives
@@ -579,7 +574,7 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
         in_range = ((e @ rep) - rep).norm()
         spans_ray = (outer(rep, rep) - e).frob()
         worst_ray = max(worst_ray, in_plus, in_range, spans_ray)
-    checks.append(Check("ray_representative", worst_ray, tol))
+    checks.append(Check("ray_representative", worst_ray, 1e-8))
 
     # (d) evolution restricts to a unitary and extends back
     restricted_evo = []
@@ -601,7 +596,8 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
             worst_invariance, ((space.J @ moved) - moved * iq).norm())
     checks.append(Check("evolution_restriction_unitary", worst_unitary, 1e-9))
     checks.append(Check("evolution_roundtrip", worst_roundtrip, 1e-9))
-    checks.append(Check("evolution_plus_invariance", worst_invariance, tol))
+    checks.append(Check("evolution_plus_invariance", worst_invariance,
+                        1e-8))
 
     return ReductionReport(classification, space, restricted_gens,
                            restricted_evo, checks)

@@ -15,10 +15,10 @@ import scipy.linalg
 
 from qreduce import algebra as algebra_module, sampling
 from qreduce.algebra import (
-    GAP_CUTOFF,
     SV_CUTOFF,
     CommutantBasis,
     StarAlgebra,
+    _commutant_split,
     _commutator_constraint,
     _nullspace_rows,
     StateFunctional,
@@ -128,7 +128,7 @@ def pairwise_closure(algebra: StarAlgebra) -> CommutantBasis:
         rows = new_rows
 
 
-def loop_is_irreducible(algebra: StarAlgebra, cutoff: float = GAP_CUTOFF,
+def loop_is_irreducible(algebra: StarAlgebra, cutoff: float = 1e-7,
                         samples: int = 32, seed: int = 0) -> bool:
     """Reference scan: one candidate at a time, early exit on a spread."""
     comm = algebra.commutant_basis()
@@ -464,25 +464,89 @@ def test_is_irreducible_matches_loop_reference():
         assert is_irreducible(algebra) is expected
 
 
-def test_witness_exists_iff_reducible():
-    """The verdict and the witness come from one scan of the commutant
-    basis: planted cases, and block-diagonal algebras whose blocks are
-    coupled by eps from 1e-1 to 1e-14."""
-    algebras = [algebra for algebra, _ in irreducibility_cases()]
+def coupled_sweep() -> list[list[QMatrix]]:
+    """Generators of block-diagonal algebras whose blocks are coupled by
+    eps from 1e-1 to 1e-14."""
+    sweep = []
     rng = np.random.default_rng(44)
     for half in (1, 2, 3):
         n = 2 * half
         blocks = block_diagonal_algebra(rng, half).generators[1:]
         coupling = np.zeros((n, n, 4))
         coupling[:half, half:] = rng.standard_normal((half, half, 4))
-        algebras += [StarAlgebra([blocks[0] + QMatrix(coupling) * 10.0 ** -k]
-                                 + blocks[1:]) for k in range(1, 15)]
+        sweep += [[blocks[0] + QMatrix(coupling) * 10.0 ** -k] + blocks[1:]
+                  for k in range(1, 15)]
+    return sweep
+
+
+def test_witness_exists_iff_reducible():
+    """The verdict and the witness come from one split of the commutant:
+    planted cases and the coupled sweep."""
+    algebras = [algebra for algebra, _ in irreducibility_cases()]
+    algebras += [StarAlgebra(gens) for gens in coupled_sweep()]
     verdicts = set()
     for algebra in algebras:
         irreducible = is_irreducible(algebra)
         verdicts.add(irreducible)
         assert (reducibility_witness(algebra) is None) is irreducible
     assert verdicts == {True, False}
+
+
+def split_ranks(algebra: StarAlgebra) -> tuple[int, int]:
+    (sym, _), (skew, _) = _commutant_split(algebra)
+    return len(sym), len(skew)
+
+
+def direct_sum(a: QMatrix, b: QMatrix) -> QMatrix:
+    data = np.zeros((a.n + b.n, a.n + b.n, 4))
+    data[:a.n, :a.n], data[a.n:, a.n:] = a.data, b.data
+    return QMatrix(data)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_split_ranks_on_planted_direct_sums(n):
+    """(traceless selfadjoint, skew) ranks of the commutant of a planted
+    direct sum: those of M2(R), M2(C), M2(H), C + R and R + R, less the
+    identity."""
+    rng = np.random.default_rng(60 + n)
+    proper = sampling.plant_proper(rng, n)
+    other = sampling.plant_proper(rng, n)
+    cplx = sampling.plant_complex_induced(rng, n)[0]
+    real = sampling.plant_real_induced(rng, n)[0]
+    cases = [(proper, proper, (2, 1)), (cplx, cplx, (3, 4)),
+             (real, real, (5, 10)), (cplx, proper, (1, 1)),
+             (proper, other, (1, 0))]
+    for first, second, expected in cases:
+        algebra = StarAlgebra([direct_sum(a, b)
+                               for a, b in zip(first, second)])
+        assert split_ranks(algebra) == expected
+        assert commutant(algebra).dim_r == 1 + sum(expected)
+        assert not is_irreducible(algebra)
+        assert reducibility_witness(algebra) is not None
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_split_singular_values_are_zero_or_one(c):
+    """The commutant is a *-algebra containing I, so both projections of
+    its orthonormal basis have singular values 0 or 1 at every scale, far
+    from the cut at 1/2."""
+    for gens in coupled_sweep():
+        parts = _commutant_split(StarAlgebra([g * c for g in gens]))
+        svals = np.concatenate([svals for _, svals in parts])
+        assert np.minimum(svals, np.abs(svals - 1.0)).max() <= 1e-9
+
+
+def test_generator_list_is_star_closed_at_any_scale():
+    """A generator's adjoint is added unless the generator is selfadjoint
+    relative to its own norm, so tiny generators keep the list *-closed."""
+    rng = np.random.default_rng(59)
+    for n in (2, 3):
+        gens, _ = sampling.plant_complex_induced(rng, n)
+        algebra = StarAlgebra([g * 1e-15 for g in gens])
+        assert len(algebra.generators) == 5
+        for g in algebra.generators:
+            assert any(np.array_equal(g.H.data, h.data)
+                       for h in algebra.generators)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -520,6 +584,24 @@ def test_algebra_draws_random_numbers_only_in_reduce_system():
                       if isinstance(alias, ast.alias)]
             offenders.update(name for name in names if name and any(
                 word in name.lower() for word in ("random", "rng", "seed")))
+    assert offenders == set()
+
+
+def test_spectral_calls_only_in_decision_helpers():
+    """Every rank or spectral decision of `algebra` is made in
+    _nullspace_rows, _row_span or _commutant_split, so each decision has
+    one place to report its margin from."""
+    tree = ast.parse(Path(algebra_module.__file__).read_text())
+    allowed = {"_nullspace_rows", "_row_span", "_commutant_split"}
+    offenders = set()
+    for node in tree.body:
+        if getattr(node, "name", None) in allowed:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(
+                    sub.func, "attr", getattr(sub.func, "id", None)) in {
+                    "svd", "eigh", "eigvalsh", "eig"}:
+                offenders.add(getattr(node, "name", None))
     assert offenders == set()
 
 
