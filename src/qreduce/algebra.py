@@ -555,7 +555,7 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
         rank_c = float(np.trace(restricted).real)
         worst_rank = max(worst_rank, abs(rank_h - rank_c))
     checks.append(Check("projection_extension", worst_ext, 1e-8))
-    checks.append(Check("projection_rank_match", worst_rank, 0.5))
+    checks.append(Check("projection_rank_match", worst_rank, 1e-8))
 
     # (c) rank-one lattice projections have plus-space representatives
     worst_ray = 0.0

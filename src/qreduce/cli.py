@@ -5,7 +5,10 @@ human-readable summary on stderr.  Exit codes: 0 all checks pass, 1 a
 check failed or the run ended with a domain error, 2 usage or input
 error.  The environment variable QR_TOL_SCALE multiplies the tolerance of
 every reported check, as does the --tol flag; both must be finite and
-positive.  Decision thresholds (commutant rank, irreducibility) are fixed.
+positive.  `_finish` is the one place that scaling happens: every command
+hands it unscaled checks, and it sets the status from the scaled ones.
+Checks that count failures carry tolerance 0, which no scale moves.
+Decision thresholds (commutant rank, irreducibility) are fixed.
 """
 from __future__ import annotations
 
@@ -57,26 +60,32 @@ def _tol_scale(args) -> float:
     return scale
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args) -> int:
+    """Print the report as JSON on stdout (and to --output), summarize it
+    on stderr and return the exit code."""
     text = json.dumps(report, sort_keys=True, indent=2)
     print(text)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
-
-
-def _summarize(report: dict) -> None:
-    for check in report.get("checks", []):
+    for check in report["checks"]:
         flag = "PASS" if check["pass"] else "FAIL"
         print(f"[{flag}] {check['name']}: residual={check['residual']:.3e} "
               f"tol={check['tolerance']:.1e}", file=sys.stderr)
     print(f"status: {report['status']}", file=sys.stderr)
-
-
-def _finish(report: dict, args) -> int:
-    _emit(report, args)
-    _summarize(report)
     return 0 if report["status"] == "pass" else 1
+
+
+def _finish(command: str, checks: list[Check], artifacts: dict, args) -> int:
+    """Scale every check by args.tol_scale and emit the report; the status
+    is "pass" iff every scaled check passes."""
+    checks = [c.scaled(args.tol_scale) for c in checks]
+    return _emit({
+        "command": command,
+        "status": "pass" if all(c.passed for c in checks) else "fail",
+        "checks": [c.to_json() for c in checks],
+        "artifacts": artifacts,
+    }, args)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -143,26 +152,15 @@ def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
     if args.trials < 1:
         raise UsageError("trials must be at least 1")
-    results = run_verify(args.seed, dims, args.trials, args.tol_scale)
-    checks = []
-    for prop_name, prop_checks in results:
-        for check in prop_checks:
-            record = check.to_json()
-            record["name"] = f"{prop_name}/{record['name']}"
-            checks.append(record)
-    status = "pass" if all(c["pass"] for c in checks) else "fail"
-    report = {
-        "command": "verify",
-        "status": status,
-        "checks": checks,
-        "artifacts": {
-            "seed": args.seed,
-            "dims": dims,
-            "trials": args.trials,
-            "tol_scale": args.tol_scale,
-        },
-    }
-    return _finish(report, args)
+    results = run_verify(args.seed, dims, args.trials)
+    checks = [replace(check, name=f"{prop_name}/{check.name}")
+              for prop_name, prop_checks in results for check in prop_checks]
+    return _finish("verify", checks, {
+        "seed": args.seed,
+        "dims": dims,
+        "trials": args.trials,
+        "tol_scale": args.tol_scale,
+    }, args)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def cmd_verify(args) -> int:
 
 def _classification_checks(verdict, algebra) -> list[Check]:
     checks = [Check("commutant_dim_in_trichotomy",
-                    0.0 if verdict.commutant_dim in (1, 2, 4) else 1.0, 0.5)]
+                    0.0 if verdict.commutant_dim in (1, 2, 4) else 1.0, 0.0)]
     ident = QMatrix.identity(algebra.n)
     named = [("J", verdict.J), ("I", verdict.I), ("K", verdict.K)]
     present = [(name, op) for name, op in named if op is not None]
@@ -199,28 +197,15 @@ def cmd_classify(args) -> int:
 
     if not is_irreducible(algebra):
         witness = reducibility_witness(algebra)
-        report = {
-            "command": "classify",
-            "status": "fail",
-            "checks": [Check("irreducible", 1.0, 0.5).to_json()],
-            "artifacts": {
-                "commutant_dim": commutant(algebra).dim_r,
-                "reducibility_witness":
-                    witness.to_json() if witness is not None else None,
-            },
-        }
-        return _finish(report, args)
+        return _finish("classify", [Check("irreducible", 1.0, 0.0)], {
+            "commutant_dim": commutant(algebra).dim_r,
+            "reducibility_witness":
+                witness.to_json() if witness is not None else None,
+        }, args)
 
     verdict = classify_irreducible(algebra)
-    checks = [c.scaled(args.tol_scale)
-              for c in _classification_checks(verdict, algebra)]
-    report = {
-        "command": "classify",
-        "status": "pass" if all(c.passed for c in checks) else "fail",
-        "checks": [c.to_json() for c in checks],
-        "artifacts": {"classification": verdict.to_json()},
-    }
-    return _finish(report, args)
+    return _finish("classify", _classification_checks(verdict, algebra),
+                   {"classification": verdict.to_json()}, args)
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +231,25 @@ def cmd_reduce(args) -> int:
     try:
         result = reduce_system(algebra, evolution, axis)
     except (NotComplexInduced, DoesNotCommute) as exc:
-        report = {
+        return _emit({
             "command": "reduce",
             "status": "error",
             "error": type(exc).__name__,
             "message": str(exc),
             "checks": [],
             "artifacts": {},
-        }
-        return _finish(report, args)
+        }, args)
 
-    result = replace(result, checks=[c.scaled(args.tol_scale)
-                                     for c in result.checks])
-    payload = result.to_json()
-    report = {
-        "command": "reduce",
-        "status": "pass" if result.passed else "fail",
-        "checks": payload.pop("checks"),
-        "artifacts": payload,
-    }
-    return _finish(report, args)
+    artifacts = result.to_json()
+    del artifacts["checks"]
+    return _finish("reduce", result.checks, artifacts, args)
 
 
 # ---------------------------------------------------------------------------
 # demos
 
 
-def _demo_adler(seed: int, tol_scale: float) -> dict:
+def _demo_adler(seed: int) -> tuple[list[Check], dict]:
     n = 4
     rng = np.random.default_rng(seed)
     gens, planted_j = sampling.plant_complex_induced(rng, n)
@@ -288,9 +265,9 @@ def _demo_adler(seed: int, tol_scale: float) -> dict:
     p_c, p_s, p_h = transition_probs(v, v * jq, frame)
     rows.append({"pair": "(v, v*j)", "section": "ambient",
                  "pC": p_c, "pS": p_s, "pH": p_h})
-    checks.append(Check("adler_pair_pC", abs(p_c), 1e-12 * tol_scale))
-    checks.append(Check("adler_pair_pS", abs(p_s - 1.0), 1e-12 * tol_scale))
-    checks.append(Check("adler_pair_pH", abs(p_h - 1.0), 1e-12 * tol_scale))
+    checks.append(Check("adler_pair_pC", abs(p_c), 1e-12))
+    checks.append(Check("adler_pair_pS", abs(p_s - 1.0), 1e-12))
+    checks.append(Check("adler_pair_pH", abs(p_h - 1.0), 1e-12))
 
     worst_ps = 0.0
     for idx in range(6):
@@ -303,7 +280,7 @@ def _demo_adler(seed: int, tol_scale: float) -> dict:
         rows.append({"pair": f"plus_{idx}", "section": "plus_space",
                      "pC": p_c, "pS": p_s, "pH": p_h})
         worst_ps = max(worst_ps, p_s)
-    checks.append(Check("adler_plus_section_pS", worst_ps, 1e-12 * tol_scale))
+    checks.append(Check("adler_plus_section_pS", worst_ps, 1e-12))
 
     # trajectory of a plus-space state under the planted J-commuting flow
     start = space.basis @ QVector.from_complex(
@@ -311,45 +288,33 @@ def _demo_adler(seed: int, tol_scale: float) -> dict:
     start = start * (1.0 / start.norm())
     trace = evolution_trace(hamiltonian, start, [0.0, 0.5, 1.0, 1.5, 2.0])
     worst_norm = max(abs(x - 1.0) for x in trace["norms"])
-    checks.append(Check("adler_trace_unitarity", worst_norm, 1e-9 * tol_scale))
-    return {
-        "command": "demo",
-        "status": "pass" if all(c.passed for c in checks) else "fail",
-        "checks": [c.to_json() for c in checks],
-        "artifacts": {"which": "adler", "seed": seed, "table": rows,
-                      "trace": trace},
-    }
+    checks.append(Check("adler_trace_unitarity", worst_norm, 1e-9))
+    return checks, {"which": "adler", "seed": seed, "table": rows,
+                    "trace": trace}
 
 
-def _demo_counitary(seed: int, tol_scale: float) -> dict:
+def _demo_counitary(seed: int) -> tuple[list[Check], dict]:
     n = 3
     rng = np.random.default_rng(seed)
     hq = sampling.unit_quaternion(rng)
     unitaries = [sampling.unitary(rng, n) for _ in range(3)]
     result = counitary_demo(hq, unitaries, seed=seed)
-    checks = [Check("counitary_rmqq", result.max_rmqq_residual,
-                    1e-10 * tol_scale)]
+    checks = [Check("counitary_rmqq", result.max_rmqq_residual, 1e-10)]
     min_sep = min(result.central_distances[a, b]
                   for a in range(3) for b in range(a + 1, 3))
     checks.append(Check("counitary_candidates_differ",
                         max(0.0, 0.1 - min_sep), 0.0))
-    return {
-        "command": "demo",
-        "status": "pass" if all(c.passed for c in checks) else "fail",
-        "checks": [c.to_json() for c in checks],
-        "artifacts": {
-            "which": "counitary",
-            "seed": seed,
-            "automorphism_phase": hq.to_json(),
-            "rmqq_residuals": [float(r) for r in result.rmqq_residuals],
-            "candidate_distances": result.distances.tolist(),
-            "central_distances": result.central_distances.tolist(),
-        },
+    return checks, {
+        "which": "counitary",
+        "seed": seed,
+        "automorphism_phase": hq.to_json(),
+        "rmqq_residuals": [float(r) for r in result.rmqq_residuals],
+        "candidate_distances": result.distances.tolist(),
+        "central_distances": result.central_distances.tolist(),
     }
 
 
-def _print_demo_tables(report: dict) -> None:
-    arts = report["artifacts"]
+def _print_demo_tables(arts: dict) -> None:
     if arts["which"] == "adler":
         print(f"{'pair':>10s} {'section':>12s} {'pC':>12s} {'pS':>12s} "
               f"{'pH':>12s}", file=sys.stderr)
@@ -366,13 +331,13 @@ def _print_demo_tables(report: dict) -> None:
 
 def cmd_demo(args) -> int:
     if args.which == "adler":
-        report = _demo_adler(args.seed, args.tol_scale)
+        checks, artifacts = _demo_adler(args.seed)
     elif args.which == "counitary":
-        report = _demo_counitary(args.seed, args.tol_scale)
+        checks, artifacts = _demo_counitary(args.seed)
     else:
         raise UsageError(f"unknown demo {args.which!r}")
-    _print_demo_tables(report)
-    return _finish(report, args)
+    _print_demo_tables(artifacts)
+    return _finish("demo", checks, artifacts, args)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Wave functions split against a left multiplication as f = F1 + j*F2
 (left factor j), which is the mirror of the right-factor split used by
 the functor layer; the two differ by a conjugation of the second
 component.  The 2x2-block complex matrix built from the real components
-of H is defined so that it generates the SAME flow as -H; pass
-flow_sign=+1.0 to get the bare block instead.
+of H is defined so that it generates the SAME flow as -H; its negative
+is the bare block.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from .qlinalg import (
     QMatrix,
     QVector,
     complex_embed,
-    complex_unembed,
     embed_vector,
+    expm_antiselfadjoint,
     inner,
     is_unitary,
     operator_norm,
@@ -41,6 +41,7 @@ from .quat import (
 )
 
 ANTI_TOL = 1e-10
+ASSEMBLY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ def evolve(h: Hamiltonian, v: QVector, t: float) -> QVector:
 
 def evolution_operator(h: Hamiltonian, t: float) -> QMatrix:
     """exp(-t H) as a quaternionic matrix."""
-    propagator = scipy.linalg.expm(-t * complex_embed(h.mat, h.frame))
-    return complex_unembed(propagator, h.frame, tol=1e-8)
+    return expm_antiselfadjoint(h.mat * -t, h.frame)
 
 
 def evolution_trace(h: Hamiltonian, v: QVector, times) -> dict:
@@ -136,14 +136,14 @@ def wave_reconstruct(wave: SymplecticWave, frame: Frame,
 
 
 def assemble_hamiltonian(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-                         h3: np.ndarray, frame: Frame = STANDARD_FRAME,
-                         tol: float = 1e-9) -> QMatrix:
+                         h3: np.ndarray,
+                         frame: Frame = STANDARD_FRAME) -> QMatrix:
     """Quaternionic matrix with entries h0 + h1*i + h2*j + h3*k along the
     frame; raises unless the result is anti-selfadjoint."""
     parts = [np.asarray(h, dtype=float) for h in (h0, h1, h2, h3)]
     mat = QMatrix(from_frame(np.stack(parts, axis=-1), frame))
     res = (mat + mat.H).frob()
-    if res > tol * max(1.0, mat.frob()):
+    if res > ASSEMBLY_TOL * max(1.0, mat.frob()):
         raise StructureError(
             f"assembled Hamiltonian is not anti-selfadjoint (residual {res:.2e})")
     return mat
@@ -156,19 +156,18 @@ def hamiltonian_components(mat: QMatrix, frame: Frame = STANDARD_FRAME
 
 
 def hamiltonian_block(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-                      h3: np.ndarray, frame: Frame = STANDARD_FRAME,
-                      flow_sign: float = -1.0) -> np.ndarray:
+                      h3: np.ndarray,
+                      frame: Frame = STANDARD_FRAME) -> np.ndarray:
     """Complex block matrix propagating the component pair (F1, F2).
 
-    The wave equation for f carries a minus sign; with the default
-    flow_sign=-1 the returned block generates the same flow as -H, so
-    exp(t * block) applied to (F1, F2) tracks exp(-t H) applied to f.
+    The wave equation for f carries a minus sign, so the returned block
+    generates the same flow as -H: exp(t * block) applied to (F1, F2)
+    tracks exp(-t H) applied to f.
     """
     assemble_hamiltonian(h0, h1, h2, h3, frame)  # structural validation
     b1 = np.asarray(h0, dtype=float) + 1j * np.asarray(h1, dtype=float)
     b2 = np.asarray(h2, dtype=float) - 1j * np.asarray(h3, dtype=float)
-    block = np.block([[b1, -b2.conj()], [b2, b1.conj()]])
-    return flow_sign * block
+    return -np.block([[b1, -b2.conj()], [b2, b1.conj()]])
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,12 @@ DEFAULT_TOL = 1e-10
 RANK_TOL = 1e-10
 
 
-def _check_anti_unitary(j: QMatrix, tol: float, what: str = "J") -> None:
+def _check_anti_unitary(j: QMatrix, what: str = "J") -> None:
     ident = QMatrix.identity(j.n)
     anti = (j + j.H).frob()
     gram = (j.H @ j - ident).frob()
-    if anti > tol * max(1.0, j.frob()) or gram > tol * max(1.0, j.frob() ** 2):
+    if (anti > DEFAULT_TOL * max(1.0, j.frob())
+            or gram > DEFAULT_TOL * max(1.0, j.frob() ** 2)):
         raise StructureError(
             f"{what} must be unitary and anti-selfadjoint "
             f"(residuals {anti:.2e}, {gram:.2e})")
@@ -128,8 +129,7 @@ def plus_projector_apply(j: QMatrix, v: QVector, frame: Frame) -> QVector:
     return (v - (j @ v) * frame.i.as_quaternion()) * 0.5
 
 
-def split_plus_minus(j: QMatrix, i: ImaginaryUnit,
-                     tol: float = DEFAULT_TOL) -> SplitSpace:
+def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
     """Compute an orthonormal basis of H+ for the pair (J, i).
 
     The projector P+ is applied to the 2n candidates {delta_m, delta_m*j};
@@ -137,7 +137,7 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit,
     Complex-linear combinations stay inside H+, so the result is an
     orthonormal basis of H+ both over the plane of i and quaternionically.
     """
-    _check_anti_unitary(j, tol)
+    _check_anti_unitary(j)
     n = j.n
     frame = frame_complete(i)
     iq = frame.i.as_quaternion().as_array()
@@ -223,8 +223,7 @@ class ComplexifiedSpace:
         return a.real * v + a.imag * (self.J @ v)
 
 
-def _orthonormal_tuples(n: int, maps: list[np.ndarray],
-                        tol: float) -> np.ndarray:
+def _orthonormal_tuples(n: int, maps: list[np.ndarray]) -> np.ndarray:
     """Greedy basis v_m such that (v_m, A v_m, ...) over `maps` is a real
     orthonormal family; returns the v_m as columns."""
     accum = np.zeros((n, 0))
@@ -234,7 +233,7 @@ def _orthonormal_tuples(n: int, maps: list[np.ndarray],
         c[m] = 1.0
         w = c - accum @ (accum.T @ c)
         nrm = np.linalg.norm(w)
-        if nrm <= tol:
+        if nrm <= DEFAULT_TOL:
             continue
         v = w / nrm
         group = [v] + [a @ v for a in maps]
@@ -249,8 +248,8 @@ def _orthonormal_tuples(n: int, maps: list[np.ndarray],
     return np.stack(picks, axis=1)
 
 
-def internal_complexify(reals: list[np.ndarray], j: np.ndarray,
-                        tol: float = DEFAULT_TOL) -> ComplexifiedSpace:
+def internal_complexify(reals: list[np.ndarray],
+                        j: np.ndarray) -> ComplexifiedSpace:
     """Turn R^n with an anti-selfadjoint orthogonal J into C^(n/2).
 
     Every listed operator must commute with J; its complex matrix in the
@@ -260,15 +259,15 @@ def internal_complexify(reals: list[np.ndarray], j: np.ndarray,
     n = j.shape[0]
     if n % 2:
         raise DimensionError("internal complexification needs even dimension")
-    if (np.linalg.norm(j + j.T) > tol * max(1.0, np.linalg.norm(j))
-            or np.linalg.norm(j @ j.T - np.eye(n)) > tol * n):
+    if (np.linalg.norm(j + j.T) > DEFAULT_TOL * max(1.0, np.linalg.norm(j))
+            or np.linalg.norm(j @ j.T - np.eye(n)) > DEFAULT_TOL * n):
         raise StructureError("J must be orthogonal and antisymmetric")
     mats = [np.asarray(t, dtype=float) for t in reals]
     for t in mats:
         res = np.linalg.norm(t @ j - j @ t)
-        if res > tol * max(1.0, np.linalg.norm(t)):
+        if res > DEFAULT_TOL * max(1.0, np.linalg.norm(t)):
             raise DoesNotCommute(res)
-    basis = _orthonormal_tuples(n, [j], tol)
+    basis = _orthonormal_tuples(n, [j])
     out = [basis.T @ t @ basis - 1j * (basis.T @ j @ t @ basis) for t in mats]
     return ComplexifiedSpace(n // 2, basis, j, out)
 
@@ -301,8 +300,8 @@ class QuaternionifiedSpace:
 
 
 def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
-                           j_op: np.ndarray, frame: Frame = STANDARD_FRAME,
-                           tol: float = DEFAULT_TOL) -> QuaternionifiedSpace:
+                           j_op: np.ndarray, frame: Frame = STANDARD_FRAME
+                           ) -> QuaternionifiedSpace:
     """Turn R^n with an anticommuting anti-selfadjoint orthogonal pair (I, J)
     into H^(n/4).
 
@@ -316,19 +315,20 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
         raise DimensionError(
             "internal quaternionification needs dimension divisible by 4")
     for name, op in (("I", i_op), ("J", j_op)):
-        if (np.linalg.norm(op + op.T) > tol * max(1.0, np.linalg.norm(op))
-                or np.linalg.norm(op @ op.T - np.eye(n)) > tol * n):
+        scale = max(1.0, np.linalg.norm(op))
+        if (np.linalg.norm(op + op.T) > DEFAULT_TOL * scale
+                or np.linalg.norm(op @ op.T - np.eye(n)) > DEFAULT_TOL * n):
             raise StructureError(f"{name} must be orthogonal and antisymmetric")
-    if np.linalg.norm(i_op @ j_op + j_op @ i_op) > tol * n:
+    if np.linalg.norm(i_op @ j_op + j_op @ i_op) > DEFAULT_TOL * n:
         raise StructureError("I and J must anticommute")
     mats = [np.asarray(t, dtype=float) for t in reals]
     for t in mats:
         for op in (i_op, j_op):
             res = np.linalg.norm(t @ op - op @ t)
-            if res > tol * max(1.0, np.linalg.norm(t)):
+            if res > DEFAULT_TOL * max(1.0, np.linalg.norm(t)):
                 raise DoesNotCommute(res)
     ji = j_op @ i_op
-    basis = _orthonormal_tuples(n, [i_op, j_op, ji], tol)
+    basis = _orthonormal_tuples(n, [i_op, j_op, ji])
     out = []
     for t in mats:
         parts = [basis.T @ t @ basis] + [-(basis.T @ op @ t @ basis)
@@ -356,11 +356,11 @@ class Conjugation:
     def fixed_real_span(self) -> np.ndarray:
         return self.basis
 
-    def commutes_with(self, mat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    def commutes_with(self, mat: np.ndarray) -> bool:
         """A complex operator commutes with K iff its matrix in the inducing
         basis is real."""
         coeff = self.basis.conj().T @ np.asarray(mat, dtype=complex) @ self.basis
-        return float(np.linalg.norm(coeff.imag)) <= tol * max(
+        return float(np.linalg.norm(coeff.imag)) <= DEFAULT_TOL * max(
             1.0, float(np.linalg.norm(coeff)))
 
 
@@ -408,8 +408,8 @@ class LeftMultiplication:
 
 
 def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
-                                frame: Frame = STANDARD_FRAME,
-                                tol: float = DEFAULT_TOL) -> LeftMultiplication:
+                                frame: Frame = STANDARD_FRAME
+                                ) -> LeftMultiplication:
     """Extract H_R from an anticommuting pair of anti-selfadjoint unitaries
     and build the left multiplication it generates.
 
@@ -417,11 +417,11 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
     1e-9 (M is a homomorphism, so the unit along k is the product of the
     units along i and j).
     """
-    _check_anti_unitary(i_op, tol, "I")
-    _check_anti_unitary(j_op, tol, "J")
+    _check_anti_unitary(i_op, "I")
+    _check_anti_unitary(j_op, "J")
     n = i_op.n
     anti = (i_op @ j_op + j_op @ i_op).frob()
-    if anti > tol * max(1.0, i_op.frob() * j_op.frob()):
+    if anti > DEFAULT_TOL * max(1.0, i_op.frob() * j_op.frob()):
         raise StructureError(f"I and J must anticommute (residual {anti:.2e})")
 
     iq, jq, kq = (u.as_quaternion().as_array()

@@ -39,6 +39,7 @@ from .quat import (
 DEFAULT_TOL = 1e-10
 NORMALITY_TOL = 1e-9
 PAIRING_TOL = 1e-8
+CLUSTER_TOL = 1e-7
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -311,14 +312,6 @@ def complex_matrix_to_json(mat: np.ndarray) -> dict:
             "im": mat.imag.tolist()}
 
 
-def complex_matrix_from_json(payload: dict) -> np.ndarray:
-    mat = np.asarray(payload["re"], dtype=float) \
-        + 1j * np.asarray(payload["im"], dtype=float)
-    if mat.shape[0] != payload["n2"]:
-        raise DimensionError("declared size does not match entry arrays")
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # norms, flags, spectra
 
@@ -368,13 +361,13 @@ def classify_operator(t: QMatrix, tol: float = DEFAULT_TOL) -> OperatorFlags:
     )
 
 
-def is_unitary(t: QMatrix, tol: float = DEFAULT_TOL) -> bool:
-    return (t.H @ t - QMatrix.identity(t.n)).frob() <= tol * max(1.0, t.frob() ** 2)
+def is_unitary(t: QMatrix) -> bool:
+    return ((t.H @ t - QMatrix.identity(t.n)).frob()
+            <= DEFAULT_TOL * max(1.0, t.frob() ** 2))
 
 
-def s_eigenspheres(t: QMatrix, i: ImaginaryUnit,
-                   tol: float = NORMALITY_TOL,
-                   pairing_tol: float = PAIRING_TOL) -> list[tuple[Quaternion, int]]:
+def s_eigenspheres(t: QMatrix,
+                   i: ImaginaryUnit) -> list[tuple[Quaternion, int]]:
     """Spectral spheres of a normal operator.
 
     The eigenvalues of the complex embedding come in conjugate pairs; each
@@ -385,8 +378,9 @@ def s_eigenspheres(t: QMatrix, i: ImaginaryUnit,
     """
     scale = max(1.0, t.frob())
     comm = (t @ t.H - t.H @ t).frob()
-    if comm > tol * scale * scale:
-        raise NotNormal(f"commutator residual {comm:.3e} exceeds {tol:.1e} * scale^2")
+    if comm > NORMALITY_TOL * scale * scale:
+        raise NotNormal(f"commutator residual {comm:.3e} exceeds "
+                        f"{NORMALITY_TOL:.1e} * scale^2")
     eigs = np.linalg.eigvals(complex_embed(t))
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
@@ -409,7 +403,7 @@ def s_eigenspheres(t: QMatrix, i: ImaginaryUnit,
     reps.sort(key=lambda z: (z.real, z.imag))
     clusters: list[tuple[complex, int]] = []
     for rep in reps:
-        if clusters and abs(rep - clusters[-1][0]) <= pairing_tol * scale:
+        if clusters and abs(rep - clusters[-1][0]) <= PAIRING_TOL * scale:
             prev, count = clusters[-1]
             clusters[-1] = ((prev * count + rep) / (count + 1), count + 1)
         else:
@@ -420,8 +414,8 @@ def s_eigenspheres(t: QMatrix, i: ImaginaryUnit,
     ]
 
 
-def spectral_projections(t: QMatrix, frame: Frame = STANDARD_FRAME,
-                         cluster_tol: float = 1e-7) -> list[tuple[float, QMatrix]]:
+def spectral_projections(t: QMatrix, frame: Frame = STANDARD_FRAME
+                         ) -> list[tuple[float, QMatrix]]:
     """Eigensphere projections of a selfadjoint operator.
 
     Returns (eigenvalue, projection) pairs; the projections are mutually
@@ -434,7 +428,7 @@ def spectral_projections(t: QMatrix, frame: Frame = STANDARD_FRAME,
     out: list[tuple[float, QMatrix]] = []
     start = 0
     for stop in range(1, vals.size + 1):
-        if stop == vals.size or vals[stop] - vals[stop - 1] > cluster_tol * scale:
+        if stop == vals.size or vals[stop] - vals[stop - 1] > CLUSTER_TOL * scale:
             block = vecs[:, start:stop]
             proj_c = block @ block.conj().T
             out.append((float(vals[start:stop].mean()),
@@ -464,8 +458,8 @@ def gram_schmidt_h(vectors, tol: float = DEFAULT_TOL) -> list[QVector]:
 # polar decomposition of anti-selfadjoint operators
 
 
-def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME,
-                          tol: float = DEFAULT_TOL) -> tuple[QMatrix, QMatrix]:
+def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME
+                          ) -> tuple[QMatrix, QMatrix]:
     """Factor A = J * M with M = |A| positive and J a unitary anti-selfadjoint
     square root of -I commuting with M.
 
@@ -475,9 +469,9 @@ def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME,
     """
     scale = max(1.0, a.frob())
     anti_res = (a + a.H).frob()
-    if anti_res > tol * scale:
+    if anti_res > DEFAULT_TOL * scale:
         raise NotAntiSelfAdjoint(
-            f"residual {anti_res:.3e} exceeds {tol:.1e} * scale")
+            f"residual {anti_res:.3e} exceeds {DEFAULT_TOL:.1e} * scale")
     chi = complex_embed(a, frame)
     herm = (chi - chi.conj().T) / 2j          # hermitian part of chi/i
     vals, vecs = np.linalg.eigh(herm)
@@ -493,11 +487,13 @@ def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME,
     modulus = complex_unembed(modulus_c, frame, tol=1e-8)
     j_op = complex_unembed(unitary_range_c, frame, tol=1e-8)
 
-    kernel_cols = vecs[:, ~nonzero]
-    if kernel_cols.shape[1]:
-        candidates = [unembed_vector(kernel_cols[:, c], frame)
-                      for c in range(kernel_cols.shape[1])]
-        kernel_basis = gram_schmidt_h(candidates, tol=1e-8)
+    kernel = vecs[:, ~nonzero]
+    if kernel.shape[1]:
+        # psi^-1 of every kernel eigenvector at once: an (n, k, 4) block
+        half = n2 // 2
+        cols = symplectic_join(kernel[:half], -kernel[half:].conj(), frame)
+        kernel_basis = gram_schmidt_h(
+            [QVector(c) for c in np.swapaxes(cols, 0, 1)], tol=1e-8)
         iq = frame.i.as_quaternion()
         for b in kernel_basis:
             j_op = j_op + outer(b * iq, b)

@@ -94,10 +94,6 @@ class Quaternion:
         w, x, y, z = np.asarray(a, dtype=float).reshape(4)
         return cls(float(w), float(x), float(y), float(z))
 
-    @classmethod
-    def real(cls, value: float) -> "Quaternion":
-        return cls(float(value), 0.0, 0.0, 0.0)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 

@@ -18,7 +18,7 @@ SEED = 20240817
 def run_criterion(label, func, dims, trials, budget_s):
     seq = np.random.SeedSequence(SEED)
     start = time.perf_counter()
-    checks = func(seq, dims, trials, 1.0)
+    checks = func(seq, dims, trials)
     elapsed = time.perf_counter() - start
     ok = all(c.passed for c in checks)
     verdict = "PASS" if ok else "FAIL"

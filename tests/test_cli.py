@@ -280,6 +280,27 @@ def test_tolerance_scale_reaches_classify_and_reduce(tmp_path, capsys,
     assert env == tight
 
 
+def test_tol_scales_every_check_and_keeps_exact_checks_at_zero(tmp_path,
+                                                              capsys):
+    rng = np.random.default_rng(9)
+    gens, _ = sampling.plant_complex_induced(rng, 2)
+    path = str(_write_algebra(tmp_path, gens))
+    scaled = {}
+    for argv in (["verify", "--dims", "2", "--trials", "2"],
+                 ["classify", path], ["reduce", path]):
+        _, base, _ = run_cli(capsys, *argv)
+        _, wide, _ = run_cli(capsys, *argv, "--tol", "4")
+        assert [c["name"] for c in wide["checks"]] == [
+            c["name"] for c in base["checks"]]
+        for b, w in zip(base["checks"], wide["checks"]):
+            if b["tolerance"] == 0.0:
+                assert w["tolerance"] == 0.0, w["name"]
+            else:
+                assert w["tolerance"] == 4 * b["tolerance"], w["name"]
+        scaled.update((c["name"], c["tolerance"]) for c in wide["checks"])
+    assert scaled["projection_rank_match"] == 4e-8
+
+
 def test_demo_unknown_rejected(capsys):
     code, _, _ = run_cli(capsys, "demo", "nonsense")
     assert code == 2

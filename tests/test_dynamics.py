@@ -159,7 +159,7 @@ def test_block_real_case_is_diagonal():
     h0 = rng.standard_normal((n, n))
     h0 = h0 - h0.T
     zeros = np.zeros((n, n))
-    block = hamiltonian_block(h0, zeros, zeros, zeros, flow_sign=1.0)
+    block = -hamiltonian_block(h0, zeros, zeros, zeros)
     np.testing.assert_allclose(block[:n, :n], h0, atol=1e-14)
     np.testing.assert_allclose(block[n:, n:], h0, atol=1e-14)
     np.testing.assert_allclose(block[:n, n:], 0, atol=1e-14)
