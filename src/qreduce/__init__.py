@@ -66,7 +66,6 @@ from .algebra import (  # noqa: F401
     center,
     classify_irreducible,
     commutant,
-    extract_anti_unit,
     induce_symmetry,
     is_irreducible,
     lueders_update,

@@ -28,7 +28,6 @@ from .errors import (
     InternalInconsistency,
     NormalizationError,
     NotComplexInduced,
-    NotInScalarCommutant,
     StructureError,
     ZeroProbability,
 )
@@ -305,38 +304,6 @@ def reducibility_witness(algebra: StarAlgebra) -> QMatrix | None:
         return None
     n = algebra.n
     return spectral_projections(QMatrix(sym[0].reshape(n, n, 4)))[0][1]
-
-
-def extract_anti_unit(t: QMatrix) -> tuple[float, float, QMatrix | None]:
-    """Split an element of a scalar commutant as T = a I + b J.
-
-    T must have scalar selfadjoint part and scalar squared skew part; the
-    recovered J (absent when the skew part vanishes) is unitary and
-    anti-selfadjoint with J^2 = -I.
-    """
-    n = t.n
-    ident = QMatrix.identity(n)
-    scale = max(1.0, t.frob())
-    a = t.trace().w / n
-    sym = (t + t.H) * 0.5
-    res_sym = (sym - ident * a).frob()
-    skew = (t - t.H) * 0.5
-    skew_sq = skew @ skew
-    c = skew_sq.trace().w / n
-    res_sq = (skew_sq - ident * c).frob()
-    tol = MEMBERSHIP_TOL * scale
-    if res_sym > tol or res_sq > tol * scale:
-        raise NotInScalarCommutant(max(res_sym, res_sq))
-    if c > 1e-10 * scale * scale:
-        raise NotInScalarCommutant(c, "skew part squares to a positive scalar")
-    if abs(c) <= 1e-10 * scale * scale:
-        return a, 0.0, None
-    b = float(np.sqrt(-c))
-    j = skew * (1.0 / b)
-    recon = (t - ident * a - j * b).frob()
-    if recon > tol:
-        raise NotInScalarCommutant(recon)
-    return a, b, j
 
 
 def _fix_sign(j: QMatrix) -> QMatrix:

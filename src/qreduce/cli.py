@@ -1,14 +1,16 @@
 """Command-line surface: verification, classification, reduction, demos.
 
 Reports are JSON on stdout (deterministic for a fixed seed) with a
-human-readable summary on stderr.  Exit codes: 0 all checks pass, 1 a
-check failed or the run ended with a domain error, 2 usage or input
-error.  The environment variable QR_TOL_SCALE multiplies the tolerance of
-every reported check, as does the --tol flag; both must be finite and
-positive.  `_finish` is the one place that scaling happens: every command
-hands it unscaled checks, and it sets the status from the scaled ones.
-Checks that count failures carry tolerance 0, which no scale moves.
-Decision thresholds (commutant rank, irreducibility) are fixed.
+human-readable summary on stderr.  Every report, an error report too, is
+written by `_emit`, which also copies it to --output.  Exit codes: 0 all
+checks pass, 1 a check failed or the run ended with a domain error, 2
+usage or input error, an unwritable --output path included.  The
+environment variable QR_TOL_SCALE multiplies the tolerance of every
+reported check, as does the --tol flag; both must be finite and positive.
+`_finish` is the one place that scaling happens: every command hands it
+unscaled checks, and it sets the status from the scaled ones.  Checks
+that count failures carry tolerance 0, which no scale moves.  Decision
+thresholds (commutant rank, irreducibility) are fixed.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .algebra import (
     reducibility_witness,
 )
 from .dynamics import Hamiltonian, counitary_demo, evolution_trace, transition_probs
-from .errors import DoesNotCommute, NotComplexInduced, QReduceError
+from .errors import QReduceError
 from .functors import split_plus_minus
 from .qlinalg import QMatrix, QVector, expm_antiselfadjoint
 from .quat import ImaginaryUnit, UNIT_E1, UNIT_E2, UNIT_E3
@@ -60,20 +62,37 @@ def _tol_scale(args) -> float:
     return scale
 
 
-def _emit(report: dict, args) -> int:
-    """Print the report as JSON on stdout (and to --output), summarize it
-    on stderr and return the exit code."""
+def _emit(report: dict, output: str | None) -> int:
+    """Write the report as JSON to output (when given) and to stdout,
+    summarize it on stderr and return the exit code.  An output path that
+    cannot be written turns the report into a usage error."""
     text = json.dumps(report, sort_keys=True, indent=2)
+    if output:
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _emit(_error_report(report["command"], "usage",
+                                       f"cannot write {output}: {exc}"), None)
     print(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
     for check in report["checks"]:
         flag = "PASS" if check["pass"] else "FAIL"
         print(f"[{flag}] {check['name']}: residual={check['residual']:.3e} "
               f"tol={check['tolerance']:.1e}", file=sys.stderr)
+    if report["status"] == "error":
+        print(f"error: {report['error']}: {report['message']}",
+              file=sys.stderr)
     print(f"status: {report['status']}", file=sys.stderr)
-    return 0 if report["status"] == "pass" else 1
+    if report["status"] == "pass":
+        return 0
+    return 2 if report.get("error") == "usage" else 1
+
+
+def _error_report(command: str, error: str, message: str) -> dict:
+    """Report of a run that ended with an error instead of checks; error
+    is "usage" or the name of a domain exception."""
+    return {"command": command, "status": "error", "error": error,
+            "message": message, "checks": [], "artifacts": {}}
 
 
 def _finish(command: str, checks: list[Check], artifacts: dict, args) -> int:
@@ -85,7 +104,7 @@ def _finish(command: str, checks: list[Check], artifacts: dict, args) -> int:
         "status": "pass" if all(c.passed for c in checks) else "fail",
         "checks": [c.to_json() for c in checks],
         "artifacts": artifacts,
-    }, args)
+    }, args.output)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -95,6 +114,8 @@ def _parse_dims(text: str) -> list[int]:
         raise UsageError(f"invalid dims {text!r}") from exc
     if not dims or any(d < 1 or d > MAX_DIM for d in dims):
         raise UsageError(f"dims must lie in [1, {MAX_DIM}], got {dims}")
+    if len(set(dims)) != len(dims):
+        raise UsageError(f"dims must not repeat, got {dims}")
     return dims
 
 
@@ -228,18 +249,7 @@ def cmd_reduce(args) -> int:
     if not evolution:
         evolution = _default_evolution(algebra)
 
-    try:
-        result = reduce_system(algebra, evolution, axis)
-    except (NotComplexInduced, DoesNotCommute) as exc:
-        return _emit({
-            "command": "reduce",
-            "status": "error",
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "checks": [],
-            "artifacts": {},
-        }, args)
-
+    result = reduce_system(algebra, evolution, axis)
     artifacts = result.to_json()
     del artifacts["checks"]
     return _finish("reduce", result.checks, artifacts, args)
@@ -398,17 +408,10 @@ def main(argv=None) -> int:
         args.tol_scale = _tol_scale(args)
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"command": args.command, "status": "error",
-                          "error": "usage", "message": str(exc),
-                          "checks": [], "artifacts": {}}, sort_keys=True))
-        return 2
+        report = _error_report(args.command, "usage", str(exc))
     except QReduceError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        print(json.dumps({"command": args.command, "status": "error",
-                          "error": type(exc).__name__, "message": str(exc),
-                          "checks": [], "artifacts": {}}, sort_keys=True))
-        return 1
+        report = _error_report(args.command, type(exc).__name__, str(exc))
+    return _emit(report, args.output)
 
 
 if __name__ == "__main__":

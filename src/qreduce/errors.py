@@ -43,14 +43,6 @@ class BasisError(QReduceError):
     """A supplied basis is not orthonormal (or otherwise unusable)."""
 
 
-class NotInScalarCommutant(QReduceError):
-    """Operator does not lie in a commutant isomorphic to R or C."""
-
-    def __init__(self, residual: float, message: str = ""):
-        self.residual = residual
-        super().__init__(message or f"scalar-commutant residual {residual:.3e}")
-
-
 class InternalInconsistency(QReduceError):
     """A structural invariant that should hold by theory failed numerically;
     usually signals a tolerance pathology in the input."""

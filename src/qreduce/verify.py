@@ -1,16 +1,21 @@
 """Registered property suites driven by the CLI `verify` command and by the
 acceptance tests.
 
-Every property takes a SeedSequence (trial seeds derive from it, per
-dimension where a property loops over dims, so a fixed master seed
-reproduces the run bit for bit), the list of quaternionic
-dimensions to exercise and a trial count; it returns a list of named
-checks at their unscaled tolerances (the CLI applies --tol).  Residuals
-aggregate as maxima over trials, so a passing check certifies every
-trial.  A check whose residual is a count of failed trials has
-tolerance 0.
+Every property takes a SeedSequence (trial seeds derive from it, so a
+fixed master seed reproduces the run bit for bit), the list of
+quaternionic dimensions to exercise and a trial count; it returns a list
+of named checks at their unscaled tolerances (the CLI applies --tol).
+
+The properties that loop over dims are built by `_per_dim` from a trial
+function, which draws one trial at one dimension and returns its checks.
+`_per_dim` aggregates those checks per dimension and applies the one rule
+of this module: a residual takes its maximum over trials, so a passing
+check certifies every trial, and a check with tolerance 0 is a count of
+failures, so counts add.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -66,6 +71,40 @@ def _dim_rng(seed_seq: np.random.SeedSequence, n: int) -> np.random.Generator:
     only, not on which other dims were requested or in what order."""
     return np.random.default_rng(np.random.SeedSequence(
         seed_seq.entropy, spawn_key=(*seed_seq.spawn_key, n)))
+
+
+def _aggregate(name: str, runs: list[Check]) -> Check:
+    """One check from the same-named checks of every trial, by the rule of
+    the module docstring; a NaN residual in any trial stays NaN and fails."""
+    tolerance = runs[0].tolerance
+    residuals = [check.residual for check in runs]
+    if tolerance == 0:
+        return Check(name, sum(residuals), 0.0)
+    return Check(name, float(np.max(residuals)), tolerance)
+
+
+def _per_dim(trial, count=lambda trials: trials):
+    """Property that runs `trial(rng, n, index)` count(trials) times at each
+    n in dims, on the stream of that n, and reports each check it returned
+    aggregated and suffixed `_n{n}`, in the order the names first appeared.
+    A dimension whose trials return nothing reports nothing."""
+    def prop(seed_seq, dims, trials):
+        checks = []
+        for n in dims:
+            rng = _dim_rng(seed_seq, n)
+            runs: dict[str, list[Check]] = {}
+            for index in range(count(trials)):
+                for check in trial(rng, n, index):
+                    runs.setdefault(check.name, []).append(check)
+            checks += [_aggregate(f"{name}_n{n}", group)
+                       for name, group in runs.items()]
+        return checks
+    return prop
+
+
+def _sparse(trials: int) -> int:
+    """Trial count of the two costliest per-dimension properties."""
+    return max(2, trials // 20)
 
 
 # ---------------------------------------------------------------------------
@@ -169,83 +208,66 @@ def _complex_flags(mat, tol):
     )
 
 
-def prop_functor_ledger(seed_seq, dims, trials):
-    checks = []
-    tol = 1e-9
-    for n in dims:
-        rng = _dim_rng(seed_seq, n)
-        worst_norm = 0.0
-        worst_adjoint = 0.0
-        flag_mismatches = 0
-        for trial in range(trials):
-            kind = trial % 5
-            mat = _structured_complex(rng, n, kind)
-            if trial % 2 == 0:
-                mat = mat.real + 0.0j   # exercise the real route too
-            frame = frame_complete(sampling.imaginary_unit(rng))
-            lifted = extend_scalars(mat, "quaternion", frame)
-            worst_norm = max(worst_norm,
-                             abs(operator_norm(lifted) - np.linalg.norm(mat, 2)))
-            adj_gap = (lifted.H - extend_scalars(mat.conj().T, "quaternion",
-                                                 frame)).frob()
-            worst_adjoint = max(worst_adjoint, adj_gap)
-            got = classify_operator(lifted, tol=1e-9)
-            want = _complex_flags(mat, 1e-9)
-            if (got.selfadjoint, got.antiselfadjoint, got.unitary,
-                    got.normal, got.projection) != want:
-                flag_mismatches += 1
-            # restriction route: lift through a planted splitting
-            j = sampling.anti_unit(rng, n)
-            space = split_plus_minus(j, sampling.imaginary_unit(rng))
-            lifted2 = extend_from_plus(mat, space)
-            back = restrict_to_plus(lifted2, space)
-            worst_norm = max(worst_norm,
-                             abs(operator_norm(lifted2) - np.linalg.norm(mat, 2)))
-            got2 = classify_operator(lifted2, tol=1e-9)
-            want2 = _complex_flags(back, 1e-9)
-            if (got2.selfadjoint, got2.antiselfadjoint, got2.unitary,
-                    got2.normal, got2.projection) != want2:
-                flag_mismatches += 1
-        checks.append(Check(f"functor_norm_n{n}", worst_norm, tol))
-        checks.append(Check(f"functor_adjoint_n{n}", worst_adjoint, tol))
-        checks.append(Check(f"functor_flags_n{n}", float(flag_mismatches), 0.0))
-    return checks
+def _flag_mismatch(lifted, mat) -> int:
+    """1 if classify_operator's flags of lifted differ from the complex
+    reference flags of mat, else 0."""
+    got = classify_operator(lifted, tol=1e-9)
+    return int((got.selfadjoint, got.antiselfadjoint, got.unitary,
+                got.normal, got.projection) != _complex_flags(mat, 1e-9))
+
+
+def _functor_trial(rng, n, index):
+    mat = _structured_complex(rng, n, index % 5)
+    if index % 2 == 0:
+        mat = mat.real + 0.0j   # exercise the real route too
+    frame = frame_complete(sampling.imaginary_unit(rng))
+    lifted = extend_scalars(mat, "quaternion", frame)
+    norm_gap = abs(operator_norm(lifted) - np.linalg.norm(mat, 2))
+    adj_gap = (lifted.H - extend_scalars(mat.conj().T, "quaternion",
+                                         frame)).frob()
+    mismatches = _flag_mismatch(lifted, mat)
+    # restriction route: lift through a planted splitting
+    j = sampling.anti_unit(rng, n)
+    space = split_plus_minus(j, sampling.imaginary_unit(rng))
+    lifted2 = extend_from_plus(mat, space)
+    back = restrict_to_plus(lifted2, space)
+    norm_gap = max(norm_gap,
+                   abs(operator_norm(lifted2) - np.linalg.norm(mat, 2)))
+    mismatches += _flag_mismatch(lifted2, back)
+    return [
+        Check("functor_norm", norm_gap, 1e-9),
+        Check("functor_adjoint", adj_gap, 1e-9),
+        Check("functor_flags", float(mismatches), 0.0),
+    ]
+
+
+prop_functor_ledger = _per_dim(_functor_trial)
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: splitting
 
 
-def prop_splitting(seed_seq, dims, trials):
-    checks = []
-    tol = 1e-10
-    for n in dims:
-        rng = _dim_rng(seed_seq, n)
-        dim_failures = 0
-        worst_jmap = 0.0
-        worst_roundtrip = 0.0
-        for _ in range(trials):
-            j = sampling.anti_unit(rng, n)
-            unit = sampling.imaginary_unit(rng)
-            space = split_plus_minus(j, unit)
-            if space.n != n or len(space.plus_basis()) != n:
-                dim_failures += 1
-                continue
-            iq = space.frame.i.as_quaternion()
-            jq = space.frame.j.as_quaternion()
-            for b in space.plus_basis():
-                flipped = b * jq
-                worst_jmap = max(worst_jmap,
-                                 ((j @ flipped) + flipped * iq).norm())
-            mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            back = restrict_to_plus(extend_from_plus(mat, space), space)
-            worst_roundtrip = max(
-                worst_roundtrip,
-                np.linalg.norm(back - mat) / max(1.0, np.linalg.norm(mat)))
-        checks.append(Check(f"split_dimension_n{n}", float(dim_failures), 0.0))
-        checks.append(Check(f"split_jmap_minus_n{n}", worst_jmap, tol))
-        checks.append(Check(f"split_roundtrip_n{n}", worst_roundtrip, tol))
-    return checks
+def _splitting_trial(rng, n, index):
+    j = sampling.anti_unit(rng, n)
+    space = split_plus_minus(j, sampling.imaginary_unit(rng))
+    if space.n != n or len(space.plus_basis()) != n:
+        return [Check("split_dimension", 1.0, 0.0)]
+    iq = space.frame.i.as_quaternion()
+    jq = space.frame.j.as_quaternion()
+    flipped = [b * jq for b in space.plus_basis()]
+    jmap = max(((j @ f) + f * iq).norm() for f in flipped)
+    mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    back = restrict_to_plus(extend_from_plus(mat, space), space)
+    roundtrip = np.linalg.norm(back - mat) / max(1.0, np.linalg.norm(mat))
+    return [
+        Check("split_dimension", 0.0, 0.0),
+        Check("split_jmap_minus", jmap, 1e-10),
+        Check("split_roundtrip", roundtrip, 1e-10),
+    ]
+
+
+prop_splitting = _per_dim(_splitting_trial)
 
 
 # ---------------------------------------------------------------------------
@@ -321,106 +343,86 @@ def prop_internal_constructions(seed_seq, dims, trials):
 # criterion 4: trichotomy
 
 
-def prop_trichotomy(seed_seq, dims, trials):
-    checks = []
-    tol = 1e-7
-    usable = [n for n in dims if n >= 2]
-    for n in usable:
-        rng = _dim_rng(seed_seq, n)
-        dim_failures = 0
-        worst_j = 0.0
-        worst_ijk = 0.0
-        for _ in range(trials):
-            proper = StarAlgebra(sampling.plant_proper(rng, n))
-            if commutant(proper).dim_r != 1:
-                dim_failures += 1
-            elif classify_irreducible(proper).kind != "ProperQuaternionic":
-                dim_failures += 1
+def _planted_verdict(gens, commutant_dim, kind):
+    """classify_irreducible's verdict on a planted system, or None when the
+    commutant dimension or the kind differs from the planted one."""
+    algebra = StarAlgebra(gens)
+    if commutant(algebra).dim_r != commutant_dim:
+        return None
+    verdict = classify_irreducible(algebra)
+    return verdict if verdict.kind == kind else None
 
-            gens, planted_j = sampling.plant_complex_induced(rng, n)
-            algebra = StarAlgebra(gens)
-            if commutant(algebra).dim_r != 2:
-                dim_failures += 1
-            else:
-                verdict = classify_irreducible(algebra)
-                if verdict.kind != "ComplexInduced":
-                    dim_failures += 1
-                else:
-                    worst_j = max(worst_j,
-                                  min((verdict.J - planted_j).frob(),
-                                      (verdict.J + planted_j).frob()))
 
-            gens, _, _ = sampling.plant_real_induced(rng, n)
-            algebra = StarAlgebra(gens)
-            if commutant(algebra).dim_r != 4:
-                dim_failures += 1
-            else:
-                verdict = classify_irreducible(algebra)
-                if verdict.kind != "RealInduced":
-                    dim_failures += 1
-                else:
-                    ops = [verdict.I, verdict.J, verdict.K]
-                    for a in range(3):
-                        for b in range(a + 1, 3):
-                            anti = (ops[a] @ ops[b] + ops[b] @ ops[a]).frob()
-                            worst_ijk = max(worst_ijk, anti)
-        checks.append(Check(f"trichotomy_dims_n{n}", float(dim_failures), 0.0))
-        checks.append(Check(f"trichotomy_recover_j_n{n}", worst_j, tol))
-        checks.append(Check(f"trichotomy_recover_ijk_n{n}", worst_ijk, tol))
-    return checks
+def _trichotomy_trial(rng, n, index):
+    if n < 2:
+        return []
+    failures = 0
+    gap_j = gap_ijk = 0.0
+    if _planted_verdict(sampling.plant_proper(rng, n), 1,
+                        "ProperQuaternionic") is None:
+        failures += 1
+    gens, planted_j = sampling.plant_complex_induced(rng, n)
+    verdict = _planted_verdict(gens, 2, "ComplexInduced")
+    if verdict is None:
+        failures += 1
+    else:
+        gap_j = min((verdict.J - planted_j).frob(),
+                    (verdict.J + planted_j).frob())
+    gens, _, _ = sampling.plant_real_induced(rng, n)
+    verdict = _planted_verdict(gens, 4, "RealInduced")
+    if verdict is None:
+        failures += 1
+    else:
+        ops = [verdict.I, verdict.J, verdict.K]
+        gap_ijk = max((ops[a] @ ops[b] + ops[b] @ ops[a]).frob()
+                      for a, b in ((0, 1), (0, 2), (1, 2)))
+    return [
+        Check("trichotomy_dims", float(failures), 0.0),
+        Check("trichotomy_recover_j", gap_j, 1e-7),
+        Check("trichotomy_recover_ijk", gap_ijk, 1e-7),
+    ]
+
+
+prop_trichotomy = _per_dim(_trichotomy_trial)
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: bicommutant
 
 
-def prop_bicommutant(seed_seq, dims, trials):
-    checks = []
-    tol = 1e-8
-    count = max(2, trials // 20)
-    for n in dims:
-        rng = _dim_rng(seed_seq, n)
-        worst_gap = 0.0
-        worst_member = 0.0
-        for _ in range(count):
-            for gens in (sampling.plant_proper(rng, n),
-                         sampling.plant_complex_induced(rng, n)[0]):
-                algebra = StarAlgebra(gens)
-                bi = bicommutant(algebra)
-                gen_span = generated_algebra(algebra)
-                worst_gap = max(worst_gap, subspace_gap(bi, gen_span))
-                for g in algebra.generators:
-                    worst_member = max(worst_member, bi.membership_residual(g))
-        checks.append(Check(f"bicommutant_vs_generated_n{n}", worst_gap, tol))
-        checks.append(Check(f"bicommutant_membership_n{n}", worst_member, tol))
-    return checks
+def _bicommutant_trial(rng, n, index):
+    gap = member = 0.0
+    for gens in (sampling.plant_proper(rng, n),
+                 sampling.plant_complex_induced(rng, n)[0]):
+        algebra = StarAlgebra(gens)
+        bi = bicommutant(algebra)
+        gap = max(gap, subspace_gap(bi, generated_algebra(algebra)))
+        member = max(member, *(bi.membership_residual(g)
+                               for g in algebra.generators))
+    return [
+        Check("bicommutant_vs_generated", gap, 1e-8),
+        Check("bicommutant_membership", member, 1e-8),
+    ]
+
+
+prop_bicommutant = _per_dim(_bicommutant_trial, count=_sparse)
 
 
 # ---------------------------------------------------------------------------
 # criterion 6: reduction certificates
 
 
-def prop_reduction(seed_seq, dims, trials):
-    checks = []
-    count = max(2, trials // 20)
-    for n in dims:
-        rng = _dim_rng(seed_seq, n)
-        worst: dict[str, Check] = {}
-        for trial in range(count):
-            gens, _ = sampling.plant_complex_induced(rng, n)
-            algebra = StarAlgebra(gens)
-            h = (gens[0] - gens[0].H) * 0.5
-            evolution = [expm_antiselfadjoint(h * float(-t)) for t in (0.5, 1.0)]
-            report = reduce_system(algebra, evolution,
-                                   sampling.imaginary_unit(rng), seed=trial)
-            for check in report.checks:
-                prev = worst.get(check.name)
-                if prev is None or check.residual > prev.residual:
-                    worst[check.name] = check
-        for name, check in worst.items():
-            checks.append(Check(f"reduce_{name}_n{n}", check.residual,
-                                check.tolerance))
-    return checks
+def _reduction_trial(rng, n, index):
+    gens, _ = sampling.plant_complex_induced(rng, n)
+    h = (gens[0] - gens[0].H) * 0.5
+    evolution = [expm_antiselfadjoint(h * float(-t)) for t in (0.5, 1.0)]
+    report = reduce_system(StarAlgebra(gens), evolution,
+                           sampling.imaginary_unit(rng), seed=index)
+    return [replace(check, name=f"reduce_{check.name}")
+            for check in report.checks]
+
+
+prop_reduction = _per_dim(_reduction_trial, count=_sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -462,32 +464,21 @@ def prop_adler_probabilities(seed_seq, dims, trials):
 # criterion 8: polar decomposition
 
 
-def prop_polar(seed_seq, dims, trials):
-    checks = []
+def _polar_trial(rng, n, index):
     tol = 1e-9
-    for n in dims:
-        rng = _dim_rng(seed_seq, n)
-        worst = {"reconstruct": 0.0, "modulus_selfadjoint": 0.0,
-                 "unit_antiselfadjoint": 0.0, "unit_square": 0.0,
-                 "factors_commute": 0.0}
-        ident = QMatrix.identity(n)
-        for _ in range(trials):
-            a = sampling.antiselfadjoint(rng, n)
-            j, m = polar_antiselfadjoint(a)
-            scale = max(1.0, a.frob())
-            worst["reconstruct"] = max(worst["reconstruct"],
-                                       (j @ m - a).frob() / scale)
-            worst["modulus_selfadjoint"] = max(worst["modulus_selfadjoint"],
-                                               (m - m.H).frob() / scale)
-            worst["unit_antiselfadjoint"] = max(worst["unit_antiselfadjoint"],
-                                                (j + j.H).frob())
-            worst["unit_square"] = max(worst["unit_square"],
-                                       (j @ j + ident).frob())
-            worst["factors_commute"] = max(worst["factors_commute"],
-                                           commutator_norm(j, m) / scale)
-        for name, residual in worst.items():
-            checks.append(Check(f"polar_{name}_n{n}", residual, tol))
-    return checks
+    a = sampling.antiselfadjoint(rng, n)
+    j, m = polar_antiselfadjoint(a)
+    scale = max(1.0, a.frob())
+    return [
+        Check("polar_reconstruct", (j @ m - a).frob() / scale, tol),
+        Check("polar_modulus_selfadjoint", (m - m.H).frob() / scale, tol),
+        Check("polar_unit_antiselfadjoint", (j + j.H).frob(), tol),
+        Check("polar_unit_square", (j @ j + QMatrix.identity(n)).frob(), tol),
+        Check("polar_factors_commute", commutator_norm(j, m) / scale, tol),
+    ]
+
+
+prop_polar = _per_dim(_polar_trial)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from qreduce.algebra import (
     center,
     classify_irreducible,
     commutant,
-    extract_anti_unit,
     generated_algebra,
     induce_symmetry,
     is_irreducible,
@@ -40,7 +39,6 @@ from qreduce.algebra import (
 from qreduce.errors import (
     DoesNotCommute,
     NotComplexInduced,
-    NotInScalarCommutant,
     StructureError,
     ZeroProbability,
 )
@@ -614,27 +612,6 @@ def test_reducibility_witness_is_invariant_projection():
     assert flags.projection
     for g in algebra.generators:
         assert (witness @ g - g @ witness).frob() <= 1e-7 * max(1.0, g.frob())
-
-
-def test_extract_anti_unit_cases():
-    n = 3
-    ident = QMatrix.identity(n)
-    a, b, j = extract_anti_unit(ident * 5.0)
-    assert a == pytest.approx(5.0) and b == 0.0 and j is None
-    a, b, j = extract_anti_unit(ident * -1.0)
-    assert a == pytest.approx(-1.0) and j is None
-
-    rng = np.random.default_rng(11)
-    planted = sampling.anti_unit(rng, n)
-    a, b, j = extract_anti_unit(ident * 2.0 + planted * 3.0)
-    assert a == pytest.approx(2.0, abs=1e-9)
-    assert b == pytest.approx(3.0, abs=1e-9)
-    assert (j - planted).frob() <= 1e-8
-    assert (j @ j + ident).frob() <= 1e-8
-    assert (j + j.H).frob() <= 1e-8
-
-    with pytest.raises(NotInScalarCommutant):
-        extract_anti_unit(sampling.qmatrix(rng, n))
 
 
 def test_classify_proper():

@@ -201,19 +201,25 @@ def test_reduce_proper_is_not_complex_induced(tmp_path, capsys):
     assert report["error"] == "NotComplexInduced"
 
 
-@pytest.mark.parametrize("kind", ["NotComplexInduced", "DoesNotCommute"])
+@pytest.mark.parametrize("kind", ["NotComplexInduced", "DoesNotCommute",
+                                  "usage"])
 def test_reduce_error_report_on_stdout_and_output(tmp_path, capsys, kind):
     rng = np.random.default_rng(5)
+    command, expected_code = "reduce", 1
     if kind == "NotComplexInduced":
         path = _write_algebra(tmp_path, sampling.plant_proper(rng, 2))
-    else:
+    elif kind == "DoesNotCommute":
         gens, _ = sampling.plant_complex_induced(rng, 2)
         path = _write_algebra(tmp_path, gens, extra={
             "evolution": [sampling.unitary(rng, 2).to_json()]})
+    else:
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "generators": []}))
+        command, expected_code = "classify", 2
     out = tmp_path / "report.json"
-    code = main(["reduce", str(path), "--output", str(out)])
+    code = main([command, str(path), "--output", str(out)])
     stdout = capsys.readouterr().out
-    assert code == 1
+    assert code == expected_code
     assert stdout == out.read_text()
     report = json.loads(stdout)
     assert stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -338,15 +344,21 @@ def _hostile_case(tmp_path, monkeypatch, case):
     if case == "env_not_a_number":
         monkeypatch.setenv("QR_TOL_SCALE", "abc")
         return verify
+    if case == "output_unwritable":
+        return verify + ["--output", str(tmp_path / "missing" / "out.json")]
+    if case == "dims_repeated":
+        return ["verify", "--dims", "2,2", "--trials", "1"]
     return ["reduce", str(system), "--i-axis", case[5:]]
 
 
 @pytest.mark.parametrize("case", [
     "n_zero", "n_above_cap", "evolution_size", "tol_inf", "tol_nan",
-    "tol_0", "tol_-1", "env_not_a_number", "axis_nan,0,0", "axis_inf,0,0"])
+    "tol_0", "tol_-1", "env_not_a_number", "axis_nan,0,0", "axis_inf,0,0",
+    "output_unwritable", "dims_repeated"])
 def test_hostile_cli_input_exits_2(tmp_path, capsys, monkeypatch, case):
     argv = _hostile_case(tmp_path, monkeypatch, case)
     code, report, err = run_cli(capsys, *argv)
     assert code == 2
     assert report["status"] == "error"
+    assert report["error"] == "usage"
     assert "Traceback" not in err
