@@ -3,11 +3,17 @@
 The commutant is computed as a real-linear nullspace problem: matrices
 vectorize to R^(4n^2), each generator G contributes the real matrix of
 T -> GT - TG, and the commutant is the joint nullspace of the stacked
-constraint.  The nullspace is found in two steps.  One symmetric
-eigendecomposition of the 4n^2 x 4n^2 Gram matrix settles every direction
-whose singular value lies far above the cutoff.  The constraint restricted
-to the few remaining candidate directions then decides them with the same
-relative cutoff that an SVD of the whole constraint would apply.
+constraint.  The generators are closed under the adjoint, and T commutes
+with them iff T* does, so the nullspace splits into a selfadjoint and a
+skew part.  In orthonormal selfadjoint/skew coordinates the constraint's
+Gram matrix is block-diagonal, with blocks of 2n^2 - n and 2n^2 + n
+coordinates, and the two blocks are solved apart.  Each is found in two
+steps.  One symmetric eigendecomposition of the block's Gram matrix
+settles every direction whose singular value lies far above the cutoff.
+The block restricted to the few remaining candidate directions then
+decides them.  The cutoff is relative to the largest singular value over
+both blocks, which is that of the whole constraint, so every direction
+is decided by the rule an SVD of the whole constraint would apply.
 The bicommutant and the center are commutants too.  Irreducibility and
 the R/C/H trichotomy are read off one split of the commutant into its
 traceless selfadjoint and skew parts: the commutant of a *-closed
@@ -18,6 +24,7 @@ The reduction of complex-induced systems is layered on top.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,32 +96,92 @@ class CommutantBasis:
         return self.membership_residual(t) <= MEMBERSHIP_TOL
 
 
-def _commutator_constraint(gens: np.ndarray) -> np.ndarray:
-    """Stacked real matrices of T -> G T - T G on vectorized T for a
-    (k, n, n, 4) stack of generators: shape (k 4n^2, 4n^2), built in one
-    pass from the Hamilton structure tensor."""
+@functools.lru_cache(maxsize=None)
+def _adjoint_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Orthonormal basis of the n x n quaternionic matrices adapted to the
+    adjoint: first the 2n^2 - n selfadjoint elements, then the 2n^2 + n
+    skew ones.  Element i is w[i, 0] E(terms[i, 0]) + w[i, 1] E(terms[i, 1]),
+    where E(p, q, d) is the matrix unit E_pq e_d: a diagonal entry (its
+    second term repeats the first with weight 0) or a mirrored pair of
+    off-diagonal entries with weights 1/sqrt 2 and +-1/sqrt 2.
+
+    Returns (terms, w, split): terms of shape (4n^2, 2, 3), w of shape
+    (4n^2, 2) and the number of selfadjoint elements.  Read-only, cached
+    per n."""
+    conj = (1.0, -1.0, -1.0, -1.0)               # e_d* = conj[d] e_d
+    half = math.sqrt(0.5)
+    elements = []
+    for sign in (1.0, -1.0):                     # X* = sign X
+        elements += [(((m, m, d), (m, m, d)), (1.0, 0.0))
+                     for m in range(n) for d in range(4) if conj[d] == sign]
+        elements += [(((m, k, d), (k, m, d)), (half, sign * conj[d] * half))
+                     for m in range(n) for k in range(m + 1, n)
+                     for d in range(4)]
+    terms = np.array([t for t, _ in elements])
+    w = np.array([x for _, x in elements])
+    terms.flags.writeable = False
+    w.flags.writeable = False
+    return terms, w, 2 * n * n - n
+
+
+def _commutator_constraint(gens: np.ndarray) -> list[np.ndarray]:
+    """Real matrix of T -> (G T - T G for each G) for a (k, n, n, 4) stack
+    of generators, with T in the coordinates of :func:`_adjoint_coordinates`
+    and the image vectorized as a (k, n, n, 4) stack: its two column
+    blocks, (k 4n^2, 2n^2 - n) on selfadjoint T and (k 4n^2, 2n^2 + n) on
+    skew T.  Built in one pass from the Hamilton structure tensor, as
+    transposed views of one row-major array, the layout that
+    block^T block reads fastest."""
     k, n = gens.shape[0], gens.shape[1]
-    out = np.zeros((k, n, n, 4, n, n, 4))
-    diag = np.arange(n)
-    # (G T)[m, l] = sum_p G[m, p] T[p, l]
-    out[:, :, diag, :, :, diag, :] = np.einsum(
-        "abc,gmpa->gmcpb", QTENSOR, gens)
-    # (T G)[m, l] = sum_p T[m, p] G[p, l]
-    out[:, diag, :, :, diag, :, :] -= np.einsum(
-        "abc,gplb->glcpa", QTENSOR, gens)
-    return out.reshape(k * 4 * n * n, 4 * n * n)
+    terms, w, split = _adjoint_coordinates(n)
+    # left[p, d, g, m] = G[m, p] e_d and right[q, d, g, l] = e_d G[q, l]
+    left = np.einsum("adc,gmpa->pdgmc", QTENSOR, gens)
+    right = np.einsum("dbc,gqlb->qdglc", QTENSOR, gens)
+    out = np.zeros((4 * n * n, k, n, n, 4))
+    rows = np.arange(4 * n * n)
+    for t in range(2):
+        p, q, d = terms[:, t].T
+        wt = w[:, t, None, None, None]
+        # G E_pq e_d: column q holds G[:, p] e_d
+        out[rows, :, :, q] += wt * left[p, d]
+        # E_pq e_d G: row p holds e_d G[q, :]
+        out[rows, :, p, :] -= wt * right[q, d]
+    out = out.reshape(4 * n * n, -1)
+    return [out[:split].T, out[split:].T]
 
 
-def _nullspace_rows(constraint: np.ndarray, cutoff: float,
-                    scale: float) -> np.ndarray:
-    """Orthonormal rows spanning the nullspace of constraint.
+def _from_adjoint_coordinates(parts: list[np.ndarray], n: int) -> np.ndarray:
+    """Rows of coordinates along the selfadjoint and along the skew
+    elements of :func:`_adjoint_coordinates`, as one array of vectorized
+    matrices, selfadjoint rows first.  Each entry is one coordinate times
+    one weight, so the rows are exactly selfadjoint or exactly skew."""
+    terms, w, split = _adjoint_coordinates(n)
+    out = np.zeros((sum(map(len, parts)), n, n, 4))
+    first = 0
+    for coords, cols in zip(parts, (slice(None, split), slice(split, None))):
+        rows = slice(first, first + len(coords))
+        for t in range(2):
+            p, q, d = terms[cols, t].T
+            out[rows, p, q, d] += coords * w[cols, t]
+        first += len(coords)
+    return out.reshape(len(out), 4 * n * n)
+
+
+def _nullspace_rows(blocks: list[np.ndarray], cutoff: float,
+                    scale: float) -> list[np.ndarray]:
+    """Orthonormal rows spanning the nullspace of each of the column
+    blocks of one constraint [B_1, ..., B_r] whose blocks are mutually
+    orthogonal, B_i^T B_j = 0, so that the constraint's singular values
+    are those of its blocks taken together.
 
     A direction counts as null when its singular value is at most
-    cutoff * max(top, scale), where top is the largest singular value and
-    scale the generator magnitude, so that a constraint that is
-    numerically zero (scalar generators) yields the full space.
+    cutoff * max(top, scale), where top is the largest singular value of
+    the whole constraint (the largest over the blocks) and scale the
+    generator magnitude, so that a constraint that is numerically zero
+    (scalar generators) yields the full space.  One threshold serves every
+    block, so the rule is that of the whole constraint.
 
-    Screen: one eigh of the Gram matrix constraint^T constraint.  An
+    Screen: one eigh of each block's Gram matrix B_i^T B_i.  An
     eigenvalue above sqrt(cutoff) * max(top, scale)^2, i.e. a singular
     value above cutoff^(1/4) times that reference, is settled as rank.
     The Gram's rounding (about eps * top^2) lies far below the screen, so
@@ -124,37 +191,52 @@ def _nullspace_rows(constraint: np.ndarray, cutoff: float,
     eps / cutoff, enough to move the identity out of a commutant by 1e-7
     and to flip an irreducibility verdict.)
 
-    Decide: the constraint restricted to the candidate eigenvectors has a
+    Decide: a block restricted to its candidate eigenvectors has a
     Frobenius norm that bounds each of its singular values, so a norm
     within the threshold makes every candidate null; otherwise an SVD of
     the small restricted block applies the threshold.  That block is
     padded with zero rows when it is wide, because the economy SVD returns
     only as many right singular vectors as there are rows."""
-    evals, evecs = np.linalg.eigh(constraint.T @ constraint)
-    top = float(np.sqrt(max(evals[-1], 0.0)))
+    grams = [np.linalg.eigh(block.T @ block) for block in blocks]
+    top = float(np.sqrt(max(max(evals[-1], 0.0) for evals, _ in grams)))
     ref = max(top, scale)
     threshold = cutoff * ref
-    candidates = evecs[:, evals <= np.sqrt(cutoff) * ref * ref]
-    block = constraint @ candidates
-    if np.linalg.norm(block) <= threshold:
-        return candidates.T
-    rows, cols = block.shape
-    if rows < cols:
-        block = np.concatenate([block, np.zeros((cols - rows, cols))])
-    _, svals, vh = np.linalg.svd(block, full_matrices=False)
-    rank = int(np.sum(svals > threshold))
-    return vh[rank:] @ candidates.T
+    null = []
+    for block, (evals, evecs) in zip(blocks, grams):
+        candidates = evecs[:, evals <= np.sqrt(cutoff) * ref * ref]
+        restricted = block @ candidates
+        if np.linalg.norm(restricted) <= threshold:
+            null.append(candidates.T)
+            continue
+        rows, cols = restricted.shape
+        if rows < cols:
+            restricted = np.concatenate(
+                [restricted, np.zeros((cols - rows, cols))])
+        _, svals, vh = np.linalg.svd(restricted, full_matrices=False)
+        rank = int(np.sum(svals > threshold))
+        null.append(vh[rank:] @ candidates.T)
+    return null
 
 
 def _commutant_of(mats: np.ndarray) -> CommutantBasis:
-    """Commutant of a (k, n, n, 4) stack of matrices.
+    """Commutant (S u S*)' of a (k, n, n, 4) stack S of matrices; this is
+    S' for the *-closed stacks passed here (the generators; the commutant
+    basis; both together).
 
     The commutant of c G is that of G, so each nonzero matrix is scaled to
-    unit Frobenius norm first and the cutoff is relative at every scale."""
+    unit Frobenius norm first and the cutoff is relative at every scale.
+    T is in (S u S*)' iff T* is, since [G, T]* = -[G*, T*], so the
+    commutant is its selfadjoint part plus its skew part, and T -> T* is
+    an isometry that carries the commutator Gram of S u S* to itself.  In
+    selfadjoint/skew coordinates that Gram is therefore block-diagonal,
+    and the two blocks of :func:`_commutator_constraint` are decided
+    separately by :func:`_nullspace_rows` under the one threshold of the
+    whole constraint.  The rows come out selfadjoint first, then skew."""
     norms = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
     unit = mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
-    return CommutantBasis(_nullspace_rows(_commutator_constraint(unit),
-                                          SV_CUTOFF, 1.0))
+    return CommutantBasis(_from_adjoint_coordinates(
+        _nullspace_rows(_commutator_constraint(unit), SV_CUTOFF, 1.0),
+        mats.shape[1]))
 
 
 class StarAlgebra:

@@ -2,9 +2,10 @@
 
 Reports are JSON on stdout (deterministic for a fixed seed) with a
 human-readable summary on stderr.  Every report, an error report too, is
-written by `_emit`, which also copies it to --output.  Exit codes: 0 all
-checks pass, 1 a check failed or the run ended with a domain error, 2
-usage or input error, an unwritable --output path included.  The
+written by `_emit`, which also copies it to --output once the options
+have parsed; malformed options give a usage report on stdout only.  Exit
+codes: 0 all checks pass, 1 a check failed or the run ended with a domain
+error, 2 usage or input error, an unwritable --output path included.  The
 environment variable QR_TOL_SCALE multiplies the tolerance of every
 reported check, as does the --tol flag; both must be finite and positive.
 `_finish` is the one place that scaling happens: every command hands it
@@ -15,6 +16,7 @@ thresholds (commutant rank, irreducibility) are fixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,6 +47,24 @@ MAX_DIM = 8
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors raised as UsageError, so that malformed
+    options get a JSON usage report like every other usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, as numpy's seeding requires."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _tol_scale(args) -> float:
@@ -88,9 +108,10 @@ def _emit(report: dict, output: str | None) -> int:
     return 2 if report.get("error") == "usage" else 1
 
 
-def _error_report(command: str, error: str, message: str) -> dict:
+def _error_report(command: str | None, error: str, message: str) -> dict:
     """Report of a run that ended with an error instead of checks; error
-    is "usage" or the name of a domain exception."""
+    is "usage" or the name of a domain exception.  command is None when
+    the options named no subcommand."""
     return {"command": command, "status": "error", "error": error,
             "message": message, "checks": [], "artifacts": {}}
 
@@ -354,8 +375,11 @@ def cmd_demo(args) -> int:
 # entry point
 
 
+_COMMANDS = ("verify", "classify", "reduce", "demo")     # of build_parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qreduce",
         description="Quaternionic operator toolkit: verify module properties, "
                     "classify operator algebras, reduce complex-induced "
@@ -364,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=42, help="master RNG seed")
+        p.add_argument("--seed", type=_seed, default=42,
+                       help="master RNG seed, a non-negative integer")
         p.add_argument("--tol", type=float, default=1.0,
                        help="multiplier on every check tolerance")
         p.add_argument("--output", type=str, default=None,
@@ -398,12 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call; parsing leaves it
+    unchanged, so one serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:                    # --help and --version
         return int(exc.code or 0)
+    except UsageError as exc:
+        named = next((a for a in argv if not a.startswith("-")), None)
+        command = named if named in _COMMANDS else None
+        return _emit(_error_report(command, "usage", str(exc)), None)
     try:
         args.tol_scale = _tol_scale(args)
         return args.func(args)

@@ -18,8 +18,11 @@ from qreduce.algebra import (
     SV_CUTOFF,
     CommutantBasis,
     StarAlgebra,
+    _adjoint_coordinates,
+    _commutant_of,
     _commutant_split,
     _commutator_constraint,
+    _from_adjoint_coordinates,
     _nullspace_rows,
     StateFunctional,
     bicommutant,
@@ -51,7 +54,7 @@ from qreduce.qlinalg import (
     outer,
     spectral_projections,
 )
-from qreduce.quat import QTENSOR, UNIT_E1, matmul4
+from qreduce.quat import QTENSOR, UNIT_E1, conj4, matmul4
 
 
 def matrix_units(n: int) -> list[QMatrix]:
@@ -163,12 +166,27 @@ def unit_norm(mats: list[QMatrix]) -> list[QMatrix]:
     return [g * (1.0 / g.frob()) if g.frob() > 0.0 else g for g in mats]
 
 
+def reference_constraint(mats: list[QMatrix]) -> np.ndarray:
+    """Per-generator blocks of T -> G T - T G on vectorized T, stacked."""
+    return np.concatenate(
+        [left_mult_matrix(g) - right_mult_matrix(g) for g in mats])
+
+
 def svd_commutant(mats: list[QMatrix]) -> CommutantBasis:
     """Reference commutant: per-generator constraint blocks of the unit-norm
     matrices, SVD rule at scale 1."""
-    constraint = np.concatenate(
-        [left_mult_matrix(g) - right_mult_matrix(g) for g in unit_norm(mats)])
-    return CommutantBasis(svd_nullspace_rows(constraint, SV_CUTOFF, 1.0))
+    return CommutantBasis(svd_nullspace_rows(
+        reference_constraint(unit_norm(mats)), SV_CUTOFF, 1.0))
+
+
+def adjoint_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The selfadjoint and the skew rows of the adjoint-adapted basis, as
+    vectorized matrices."""
+    split = _adjoint_coordinates(n)[2]
+    eye = np.eye(4 * n * n)
+    basis = _from_adjoint_coordinates(
+        [eye[:split, :split], eye[split:, split:]], n)
+    return basis[:split], basis[split:]
 
 
 def row_space_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -201,7 +219,7 @@ def test_nullspace_rows_matches_svd_rule(near):
     u = np.linalg.qr(rng.standard_normal((3 * cols, cols)))[0]
     v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
     constraint = (u * svals) @ v.T
-    rows = _nullspace_rows(constraint, SV_CUTOFF, 0.5)
+    (rows,) = _nullspace_rows([constraint], SV_CUTOFF, 0.5)
     reference = svd_nullspace_rows(constraint, SV_CUTOFF, 0.5)
     assert rows.shape == reference.shape
     assert rows.shape[0] == int(np.sum(svals <= THRESHOLD))
@@ -218,6 +236,32 @@ def test_nullspace_rows_matches_svd_rule(near):
     screened_gap = kept[kept > SCREEN].min()
     bound = 100 * eps * (1.0 / candidate_gap + 1.0 / screened_gap ** 2)
     assert row_space_gap(rows, reference) <= bound
+
+
+def test_nullspace_rows_shares_one_threshold_across_blocks():
+    """Two mutually orthogonal column blocks, the second with a top far
+    below the first's: the threshold comes from the whole constraint, so
+    a singular value that the second block alone would keep is null."""
+    rng = np.random.default_rng(50)
+    cols = (12, 10)
+    svals = (np.concatenate([[1.0], rng.uniform(0.1, 1.0, 9), [0.0, 0.0]]),
+             np.concatenate([[1e-3], rng.uniform(1e-5, 1e-3, 6),
+                             [0.5 * THRESHOLD, 0.0, 0.0]]))
+    u = np.linalg.qr(rng.standard_normal((60, sum(cols))))[0]
+    blocks = [(u[:, :cols[0]] * svals[0])
+              @ np.linalg.qr(rng.standard_normal((cols[0], cols[0])))[0].T,
+              (u[:, cols[0]:] * svals[1])
+              @ np.linalg.qr(rng.standard_normal((cols[1], cols[1])))[0].T]
+    scale = 1e-6
+    rows = _nullspace_rows(blocks, SV_CUTOFF, scale)
+    assert [len(r) for r in rows] == [2, 3]
+    assert len(_nullspace_rows(blocks[1:], SV_CUTOFF, scale)[0]) == 2
+    joined = np.zeros((5, sum(cols)))
+    joined[:2, :cols[0]] = rows[0]
+    joined[2:, cols[0]:] = rows[1]
+    reference = svd_nullspace_rows(np.concatenate(blocks, axis=1),
+                                   SV_CUTOFF, scale)
+    assert row_space_gap(joined, reference) <= 1e-10
 
 
 def test_commutant_matches_svd_rule_on_planted_algebras():
@@ -239,6 +283,45 @@ def test_commutant_matches_svd_rule_on_planted_algebras():
             assert subspace_gap(bicomm, ref_bicomm) <= 1e-12
 
 
+def test_commutant_rows_are_selfadjoint_or_skew():
+    """The commutant, bicommutant and center come out of the adjoint split
+    as selfadjoint rows followed by skew rows."""
+    rng = np.random.default_rng(48)
+    for n in (2, 3, 4, 8):
+        algebras = [StarAlgebra(sampling.plant_proper(rng, n)),
+                    StarAlgebra(sampling.plant_complex_induced(rng, n)[0]),
+                    StarAlgebra(sampling.plant_real_induced(rng, n)[0])]
+        if n % 2 == 0:
+            algebras.append(block_diagonal_algebra(rng, n // 2))
+        for algebra in algebras:
+            for basis in (commutant(algebra), bicommutant(algebra),
+                          center(algebra)):
+                stack = basis.stack
+                adj = conj4(np.swapaxes(stack, 1, 2))
+                sym = np.linalg.norm((stack - adj).reshape(len(stack), -1),
+                                     axis=1) <= 1e-14
+                skew = np.linalg.norm((stack + adj).reshape(len(stack), -1),
+                                      axis=1) <= 1e-14
+                assert np.all(sym | skew)
+                assert list(sym) == sorted(sym, reverse=True), "skew last"
+
+
+def test_commutant_of_is_commutant_of_star_closure():
+    """For a stack that is not *-closed, _commutant_of returns (S u S*)':
+    a non-normal generator commutes with itself but not with its adjoint,
+    so it lies in S' and not in the result."""
+    rng = np.random.default_rng(49)
+    for n in (2, 3, 4):
+        g = sampling.qmatrix(rng, n)
+        assert (g @ g.H - g.H @ g).frob() > 1e-3
+        result = _commutant_of(g.data[None])
+        reference = svd_commutant([g, g.H])
+        assert result.dim_r == reference.dim_r
+        assert subspace_gap(result, reference) <= 1e-12
+        assert svd_commutant([g]).contains(g)
+        assert not result.contains(g)
+
+
 @pytest.mark.parametrize("half", [2, 4])
 def test_near_reducible_algebra_matches_svd_rule(half):
     """A block-diagonal algebra coupled by eps: the coupling lifts one
@@ -255,8 +338,8 @@ def test_near_reducible_algebra_matches_svd_rule(half):
 
     def coupled(eps):
         algebra = StarAlgebra([blocks[0] + coupling * eps] + blocks[1:])
-        gens = np.stack([g.data for g in unit_norm(algebra.generators)])
-        return algebra, _commutator_constraint(gens), 1.0
+        return (algebra, reference_constraint(unit_norm(algebra.generators)),
+                1.0)
 
     _, constraint, scale = coupled(1e-6)
     svals = np.linalg.svd(constraint, compute_uv=False)
@@ -280,13 +363,35 @@ def test_near_reducible_algebra_matches_svd_rule(half):
 
 
 def test_batched_constraint_matches_per_generator_blocks():
+    """The two column blocks are the per-generator constraint on the
+    selfadjoint and on the skew basis elements, to the rounding of a
+    two-term sum."""
     rng = np.random.default_rng(47)
     for n in (1, 2, 3):
         gens = [sampling.qmatrix(rng, n) for _ in range(3)]
-        per_generator = np.concatenate(
-            [left_mult_matrix(g) - right_mult_matrix(g) for g in gens])
+        per_generator = reference_constraint(gens)
         batched = _commutator_constraint(np.stack([g.data for g in gens]))
-        np.testing.assert_array_equal(batched, per_generator)
+        assert len(batched) == 2
+        for block, basis in zip(batched, adjoint_basis(n)):
+            np.testing.assert_allclose(block, per_generator @ basis.T,
+                                       rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_adjoint_coordinates_are_orthonormal_and_split(n):
+    """2n^2 - n selfadjoint rows, then 2n^2 + n skew rows, together an
+    orthonormal basis under the trace form."""
+    sym, skew = adjoint_basis(n)
+    assert (len(sym), len(skew)) == (2 * n * n - n, 2 * n * n + n)
+    basis = np.concatenate([sym, skew])
+    np.testing.assert_allclose(basis @ basis.T, np.eye(4 * n * n),
+                               atol=1e-15)
+    for rows, sign in ((sym, 1.0), (skew, -1.0)):
+        stack = rows.reshape(-1, n, n, 4)
+        np.testing.assert_array_equal(
+            conj4(np.swapaxes(stack, 1, 2)), sign * stack)
+    assert _adjoint_coordinates(n) is _adjoint_coordinates(n)
+    assert not _adjoint_coordinates(n)[0].flags.writeable
 
 
 def test_nullspace_rows_of_wide_constraint():
@@ -294,12 +399,13 @@ def test_nullspace_rows_of_wide_constraint():
     # rank-3 constraint on R^8 whose nullspace is the last five coordinates
     constraint = np.zeros((3, 8))
     constraint[:, :3] = rng.standard_normal((3, 3))
-    rows = _nullspace_rows(constraint, SV_CUTOFF, 1.0)
+    (rows,) = _nullspace_rows([constraint], SV_CUTOFF, 1.0)
     assert rows.shape == (5, 8)
     np.testing.assert_allclose(rows @ rows.T, np.eye(5), atol=1e-12)
     np.testing.assert_allclose(rows[:, :3], 0.0, atol=1e-12)
     # a numerically zero wide constraint leaves the whole space
-    assert _nullspace_rows(np.zeros((2, 6)), SV_CUTOFF, 1.0).shape == (6, 6)
+    (rows,) = _nullspace_rows([np.zeros((2, 6))], SV_CUTOFF, 1.0)
+    assert rows.shape == (6, 6)
 
 
 def test_commutant_of_matrix_units_is_scalar():

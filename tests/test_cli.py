@@ -7,7 +7,8 @@ import pytest
 
 from qreduce import sampling
 from qreduce.algebra import StarAlgebra
-from qreduce.cli import main
+from qreduce import cli
+from qreduce.cli import build_parser, main
 from qreduce.qlinalg import QMatrix
 
 
@@ -348,13 +349,18 @@ def _hostile_case(tmp_path, monkeypatch, case):
         return verify + ["--output", str(tmp_path / "missing" / "out.json")]
     if case == "dims_repeated":
         return ["verify", "--dims", "2,2", "--trials", "1"]
+    if case == "seed_negative_verify":
+        return verify + ["--seed", "-1"]
+    if case == "seed_negative_demo":
+        return ["demo", "adler", "--seed", "-3"]
     return ["reduce", str(system), "--i-axis", case[5:]]
 
 
 @pytest.mark.parametrize("case", [
     "n_zero", "n_above_cap", "evolution_size", "tol_inf", "tol_nan",
     "tol_0", "tol_-1", "env_not_a_number", "axis_nan,0,0", "axis_inf,0,0",
-    "output_unwritable", "dims_repeated"])
+    "output_unwritable", "dims_repeated", "seed_negative_verify",
+    "seed_negative_demo"])
 def test_hostile_cli_input_exits_2(tmp_path, capsys, monkeypatch, case):
     argv = _hostile_case(tmp_path, monkeypatch, case)
     code, report, err = run_cli(capsys, *argv)
@@ -362,3 +368,53 @@ def test_hostile_cli_input_exits_2(tmp_path, capsys, monkeypatch, case):
     assert report["status"] == "error"
     assert report["error"] == "usage"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["verify", "--trials", "abc"], "verify"),
+    (["verify", "--bogus"], "verify"),
+    (["classify"], "classify"),
+    (["frobnicate"], None),
+    ([], None),
+])
+def test_malformed_options_give_usage_report(tmp_path, capsys, argv,
+                                             command):
+    """argparse errors exit 2 with the indented JSON usage report on
+    stdout; --output is not written, since the options did not parse."""
+    out = tmp_path / "report.json"
+    code = main(argv + ["--output", str(out)] if argv else argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert captured.out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report["status"] == "error"
+    assert report["error"] == "usage"
+    assert report["command"] == command
+    assert report["checks"] == [] and report["artifacts"] == {}
+    assert "usage: qreduce" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"],
+                                  ["--version"]])
+def test_help_and_version_exit_0_with_text(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip()
+    assert not captured.out.lstrip().startswith("{")
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    """main reuses one parser; build_parser still returns a fresh one."""
+    assert build_parser() is not build_parser()
+    main(["demo", "counitary"])
+    capsys.readouterr()
+
+    def rebuilt():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, report, _ = run_cli(capsys, "demo", "counitary", "--seed", "3")
+    assert code == 0
+    assert report["artifacts"]["seed"] == 3
