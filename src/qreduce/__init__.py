@@ -1,12 +1,14 @@
 """Finite-dimensional quaternionic linear algebra and its reduction to
 complex component systems.
 
-The package is organized in layers: scalar quaternions and frames
-(`quat`), vectors and right-linear matrices with their complex embedding
-(`qlinalg`), scalar extension/restriction functors (`functors`),
-operator *-algebras with commutant classification (`algebra`),
-Hamiltonian dynamics and transition probabilities (`dynamics`), and a
-CLI (`cli`) driving the registered verification suites (`verify`).
+The package is one pipeline: scalar quaternions and frames (`quat`) feed
+right-linear matrices and their complex embedding (`qlinalg`); the
+commutant of an operator *-algebra, a real-linear nullspace, gives the
+R/C/H verdict (`algebra`); the H+ splitting and restriction (`functors`)
+reduce a complex-induced system to its component space.  Hamiltonian
+evolution, transition probabilities and the co-unitary construction
+(`dynamics`) back the `demo` commands and two `verify` properties; the
+CLI (`cli`) drives the registered verification suites (`verify`).
 """
 
 __version__ = "0.1.0"
@@ -33,7 +35,6 @@ from .quat import (  # noqa: F401
 from .qlinalg import (  # noqa: F401
     QMatrix,
     QVector,
-    adjoint,
     classify_operator,
     complex_embed,
     complex_unembed,
@@ -41,14 +42,10 @@ from .qlinalg import (  # noqa: F401
     operator_norm,
     outer,
     polar_antiselfadjoint,
-    s_eigenspheres,
 )
 from .functors import (  # noqa: F401
-    Conjugation,
     LeftMultiplication,
     SplitSpace,
-    components,
-    conjugation_from_basis,
     extend_from_plus,
     extend_scalars,
     internal_complexify,
@@ -61,24 +58,16 @@ from .algebra import (  # noqa: F401
     Classification,
     CommutantBasis,
     StarAlgebra,
-    StateFunctional,
     bicommutant,
     center,
     classify_irreducible,
     commutant,
-    induce_symmetry,
     is_irreducible,
-    lueders_update,
     reduce_system,
-    same_symmetry,
 )
 from .dynamics import (  # noqa: F401
     Hamiltonian,
-    SymplecticWave,
     counitary_demo,
     evolve,
-    hamiltonian_block,
-    quaternionic_phase,
-    symplectic_components,
     transition_probs,
 )

@@ -33,10 +33,8 @@ import numpy as np
 from .errors import (
     DoesNotCommute,
     InternalInconsistency,
-    NormalizationError,
     NotComplexInduced,
     StructureError,
-    ZeroProbability,
 )
 from .functors import (
     SplitSpace,
@@ -48,9 +46,7 @@ from .functors import (
 from .qlinalg import (
     QMatrix,
     QVector,
-    classify_operator,
     complex_matrix_to_json,
-    is_unitary,
     outer,
     spectral_projections,
 )
@@ -218,13 +214,23 @@ def _nullspace_rows(blocks: list[np.ndarray], cutoff: float,
     return null
 
 
+def _binary_scaled(mats: np.ndarray) -> np.ndarray:
+    """Each matrix of a (k, n, n, 4) stack times the power of two that puts
+    its largest entry in [1/2, 1), so that a Frobenius norm of it neither
+    overflows nor underflows.  The scaling is exact in the normal range."""
+    peak = np.abs(mats.reshape(len(mats), -1)).max(axis=1, initial=0.0)
+    return np.ldexp(mats, -np.frexp(peak)[1][:, None, None, None])
+
+
 def _commutant_of(mats: np.ndarray) -> CommutantBasis:
     """Commutant (S u S*)' of a (k, n, n, 4) stack S of matrices; this is
     S' for the *-closed stacks passed here (the generators; the commutant
     basis; both together).
 
     The commutant of c G is that of G, so each nonzero matrix is scaled to
-    unit Frobenius norm first and the cutoff is relative at every scale.
+    unit Frobenius norm first (after an exact binary scaling, so that the
+    norm is finite and nonzero at any scale) and the cutoff is relative at
+    every scale.
     T is in (S u S*)' iff T* is, since [G, T]* = -[G*, T*], so the
     commutant is its selfadjoint part plus its skew part, and T -> T* is
     an isometry that carries the commutator Gram of S u S* to itself.  In
@@ -232,6 +238,7 @@ def _commutant_of(mats: np.ndarray) -> CommutantBasis:
     and the two blocks of :func:`_commutator_constraint` are decided
     separately by :func:`_nullspace_rows` under the one threshold of the
     whole constraint.  The rows come out selfadjoint first, then skew."""
+    mats = _binary_scaled(mats)
     norms = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
     unit = mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
     return CommutantBasis(_from_adjoint_coordinates(
@@ -257,7 +264,9 @@ class StarAlgebra:
             if g.n != n:
                 raise ValueError("generators have mixed dimensions")
             gens.append(g)
-            if (g - g.H).frob() > 1e-14 * g.frob():
+            s = _binary_scaled(g.data[None])[0]
+            if (np.linalg.norm(s - conj4(np.swapaxes(s, 0, 1)))
+                    > 1e-14 * np.linalg.norm(s)):
                 gens.append(g.H)
         self.generators = gens
         self._commutant: CommutantBasis | None = None
@@ -456,56 +465,6 @@ def classify_irreducible(algebra: StarAlgebra) -> Classification:
         return Classification(kind, dim, J=j_unit, I=i_unit,
                               K=i_unit @ j_unit)
     return Classification(kind, dim, J=units[0] if units else None)
-
-
-# ---------------------------------------------------------------------------
-# symmetries and states
-
-
-def induce_symmetry(u: QMatrix, e: QMatrix) -> QMatrix:
-    """Conjugate a projection by a unitary: the lattice automorphism action."""
-    if not is_unitary(u):
-        raise StructureError("symmetry operator must be unitary")
-    if not classify_operator(e).projection:
-        raise StructureError("can only transport projections")
-    return u @ e @ u.H
-
-
-def same_symmetry(u: QMatrix, u_prime: QMatrix,
-                  algebra: StarAlgebra) -> bool:
-    """Whether two unitaries induce the same lattice automorphism: their
-    relative unitary must lie in the center."""
-    for op in (u, u_prime):
-        if not is_unitary(op):
-            raise StructureError("symmetry operators must be unitary")
-    relative = u_prime @ u.H
-    return center(algebra).contains(relative)
-
-
-@dataclass(frozen=True)
-class StateFunctional:
-    """Pure state as a probability assignment E -> |E v|^2 over projections."""
-
-    vector: QVector
-
-    def __post_init__(self):
-        nrm = self.vector.norm()
-        if abs(nrm - 1.0) > 1e-10:
-            raise NormalizationError(f"state vector has norm {nrm!r}")
-
-    def prob(self, e: QMatrix) -> float:
-        return (e @ self.vector).norm() ** 2
-
-
-def lueders_update(mu: StateFunctional, f: QMatrix) -> StateFunctional:
-    """Post-measurement state after finding the proposition f true."""
-    if not classify_operator(f).projection:
-        raise StructureError("conditioning event must be a projection")
-    p = mu.prob(f)
-    if p <= 1e-12:
-        raise ZeroProbability(f"conditioning on probability {p!r}")
-    new_vec = f @ mu.vector
-    return StateFunctional(new_vec * (1.0 / new_vec.norm()))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,18 @@ def cmd_verify(args) -> int:
 # classify
 
 
+def _commutator_residual(op: QMatrix, g: QMatrix) -> float:
+    """|[op, g]| / max(1, |g|).  An entry of g of modulus 1 or more makes
+    |g| >= 1, and the quotient is then taken for g times the power of two
+    that brings its entries below 1: the scaling is exact and cancels, and
+    neither norm overflows however large g is."""
+    peak = np.abs(g.data).max()
+    if peak < 1.0:
+        return (op @ g - g @ op).frob() / max(1.0, g.frob())
+    scaled = g * math.ldexp(1.0, -int(np.frexp(peak)[1]))
+    return (op @ scaled - scaled @ op).frob() / scaled.frob()
+
+
 def _classification_checks(verdict, algebra) -> list[Check]:
     checks = [Check("commutant_dim_in_trichotomy",
                     0.0 if verdict.commutant_dim in (1, 2, 4) else 1.0, 0.0)]
@@ -219,8 +231,7 @@ def _classification_checks(verdict, algebra) -> list[Check]:
         checks.append(Check(f"{name}_antiselfadjoint", (op + op.H).frob(), 1e-8))
         checks.append(Check(f"{name}_square_minus_identity",
                             (op @ op + ident).frob(), 1e-8))
-        worst = max((op @ g - g @ op).frob() / max(1.0, g.frob())
-                    for g in algebra.generators)
+        worst = max(_commutator_residual(op, g) for g in algebra.generators)
         checks.append(Check(f"{name}_commutes_with_generators", worst, 1e-8))
     for a in range(len(present)):
         for b in range(a + 1, len(present)):

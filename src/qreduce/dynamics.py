@@ -1,13 +1,8 @@
-"""Dynamics of anti-selfadjoint Hamiltonians and the component-space
-comparison of transition probabilities.
+"""Dynamics of anti-selfadjoint Hamiltonians, the component-space
+comparison of transition probabilities and co-unitary transformations.
 
-Conventions.  The flow is f(t) = exp(-t H) v for an anti-selfadjoint H.
-Wave functions split against a left multiplication as f = F1 + j*F2
-(left factor j), which is the mirror of the right-factor split used by
-the functor layer; the two differ by a conjugation of the second
-component.  The 2x2-block complex matrix built from the real components
-of H is defined so that it generates the SAME flow as -H; its negative
-is the bare block.
+The flow is f(t) = exp(-t H) v for an anti-selfadjoint H, computed through
+the complex embedding.
 """
 from __future__ import annotations
 
@@ -17,31 +12,20 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NormalizationError, StructureError
-from .functors import LeftMultiplication
 from .qlinalg import (
     QMatrix,
     QVector,
     complex_embed,
     embed_vector,
-    expm_antiselfadjoint,
     inner,
     is_unitary,
     operator_norm,
     polar_antiselfadjoint,
     unembed_vector,
 )
-from .quat import (
-    Frame,
-    Quaternion,
-    STANDARD_FRAME,
-    from_frame,
-    symplectic_join,
-    symplectic_split,
-    to_frame,
-)
+from .quat import Frame, Quaternion, STANDARD_FRAME, symplectic_split
 
 ANTI_TOL = 1e-10
-ASSEMBLY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,11 +56,6 @@ def evolve(h: Hamiltonian, v: QVector, t: float) -> QVector:
     return unembed_vector(propagator @ embed_vector(v, h.frame), h.frame)
 
 
-def evolution_operator(h: Hamiltonian, t: float) -> QMatrix:
-    """exp(-t H) as a quaternionic matrix."""
-    return expm_antiselfadjoint(h.mat * -t, h.frame)
-
-
 def evolution_trace(h: Hamiltonian, v: QVector, times) -> dict:
     """Sampled trajectory in the wire format {"t", "states", "norms"}."""
     states = [evolve(h, v, float(t)) for t in times]
@@ -85,89 +64,6 @@ def evolution_trace(h: Hamiltonian, v: QVector, times) -> dict:
         "states": [s.to_json() for s in states],
         "norms": [s.norm() for s in states],
     }
-
-
-# ---------------------------------------------------------------------------
-# symplectic components of wave functions
-
-
-@dataclass(frozen=True)
-class SymplecticWave:
-    """Complex component pair of a wave function, f = F1 + j*F2."""
-
-    f1: np.ndarray
-    f2: np.ndarray
-
-
-def _check_left_mult(left: LeftMultiplication, frame: Frame) -> None:
-    if (np.linalg.norm(left.frame.i.direction - frame.i.direction) > 1e-12
-            or np.linalg.norm(left.frame.j.direction - frame.j.direction) > 1e-12):
-        raise StructureError("left multiplication frame does not match")
-
-
-def standard_left_mult(n: int, frame: Frame = STANDARD_FRAME) -> LeftMultiplication:
-    """Left multiplication whose real basis is the standard basis: the
-    action is entrywise left multiplication by the scalar."""
-    return LeftMultiplication(QMatrix.identity(n), frame)
-
-
-def symplectic_components(v: QVector, frame: Frame,
-                          left: LeftMultiplication) -> SymplecticWave:
-    """Split v over the real basis of the left multiplication.
-
-    With real component vectors f0..f3 of v (so v = f0 + M_i f1 + M_j f2
-    + M_k f3), the wave components are F1 = f0 + i f1 and F2 = f2 - i f3.
-    """
-    _check_left_mult(left, frame)
-    z1, z2 = symplectic_split((left.real_basis.H @ v).data, frame)
-    return SymplecticWave(z1, z2.conj())
-
-
-def wave_reconstruct(wave: SymplecticWave, frame: Frame,
-                     left: LeftMultiplication) -> QVector:
-    """Rebuild the vector as F1 + j*F2 through the left multiplication."""
-    _check_left_mult(left, frame)
-    coords = symplectic_join(wave.f1, np.conj(wave.f2), frame)
-    return left.real_basis @ QVector(coords)
-
-
-# ---------------------------------------------------------------------------
-# the 2x2-block complex Hamiltonian
-
-
-def assemble_hamiltonian(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-                         h3: np.ndarray,
-                         frame: Frame = STANDARD_FRAME) -> QMatrix:
-    """Quaternionic matrix with entries h0 + h1*i + h2*j + h3*k along the
-    frame; raises unless the result is anti-selfadjoint."""
-    parts = [np.asarray(h, dtype=float) for h in (h0, h1, h2, h3)]
-    mat = QMatrix(from_frame(np.stack(parts, axis=-1), frame))
-    res = (mat + mat.H).frob()
-    if res > ASSEMBLY_TOL * max(1.0, mat.frob()):
-        raise StructureError(
-            f"assembled Hamiltonian is not anti-selfadjoint (residual {res:.2e})")
-    return mat
-
-
-def hamiltonian_components(mat: QMatrix, frame: Frame = STANDARD_FRAME
-                           ) -> tuple[np.ndarray, ...]:
-    """Real component matrices of a quaternionic matrix along the frame."""
-    return tuple(np.moveaxis(to_frame(mat.data, frame), -1, 0))
-
-
-def hamiltonian_block(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-                      h3: np.ndarray,
-                      frame: Frame = STANDARD_FRAME) -> np.ndarray:
-    """Complex block matrix propagating the component pair (F1, F2).
-
-    The wave equation for f carries a minus sign, so the returned block
-    generates the same flow as -H: exp(t * block) applied to (F1, F2)
-    tracks exp(-t H) applied to f.
-    """
-    assemble_hamiltonian(h0, h1, h2, h3, frame)  # structural validation
-    b1 = np.asarray(h0, dtype=float) + 1j * np.asarray(h1, dtype=float)
-    b2 = np.asarray(h2, dtype=float) - 1j * np.asarray(h3, dtype=float)
-    return -np.block([[b1, -b2.conj()], [b2, b1.conj()]])
 
 
 # ---------------------------------------------------------------------------
@@ -191,29 +87,6 @@ def transition_probs(v: QVector, u: QVector,
     p_symplectic = abs(z2) ** 2
     p_quaternionic = abs(q) ** 2
     return p_complex, p_symplectic, p_quaternionic
-
-
-# ---------------------------------------------------------------------------
-# quaternionic phases
-
-
-def quaternionic_phase(samples: list[Quaternion], dt: float) -> list[Quaternion]:
-    """Finite-difference phase generator h(t_k) = conj(w_k)(w_{k+1}-w_k)/dt.
-
-    For an exact unit phase curve this is purely imaginary up to O(dt);
-    the real part of each returned value is bounded by |step|^2 / (2 dt).
-    """
-    for w in samples:
-        if abs(abs(w) - 1.0) > 1e-9:
-            raise NormalizationError("phase samples must be unit quaternions")
-    out = []
-    for a, b in zip(samples, samples[1:]):
-        step = b - a
-        if abs(step) > 0.1:
-            raise ValueError("consecutive phase samples too far apart to "
-                             "resolve the derivative")
-        out.append(a.conjugate() * step * (1.0 / dt))
-    return out
 
 
 # ---------------------------------------------------------------------------

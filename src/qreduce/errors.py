@@ -23,10 +23,6 @@ class NotInImage(QReduceError):
         super().__init__(message or f"block-symmetry residual {residual:.3e}")
 
 
-class NotNormal(QReduceError):
-    """Operator is not normal within tolerance."""
-
-
 class NotAntiSelfAdjoint(QReduceError):
     """Operator is not anti-selfadjoint within tolerance."""
 
@@ -39,10 +35,6 @@ class DoesNotCommute(QReduceError):
         super().__init__(message or f"commutator residual {residual:.3e}")
 
 
-class BasisError(QReduceError):
-    """A supplied basis is not orthonormal (or otherwise unusable)."""
-
-
 class InternalInconsistency(QReduceError):
     """A structural invariant that should hold by theory failed numerically;
     usually signals a tolerance pathology in the input."""
@@ -50,10 +42,6 @@ class InternalInconsistency(QReduceError):
 
 class NotComplexInduced(QReduceError):
     """The algebra does not carry a compatible complex structure."""
-
-
-class ZeroProbability(QReduceError):
-    """Conditioning on an event of (numerically) zero probability."""
 
 
 class NormalizationError(QReduceError):

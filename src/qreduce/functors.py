@@ -21,7 +21,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    BasisError,
     DimensionError,
     DoesNotCommute,
     InternalInconsistency,
@@ -166,21 +165,6 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
             f"plus-basis defect {worst:.2e}; J is too far from the required "
             "structure")
     return SplitSpace(j, frame, QMatrix(basis))
-
-
-def components(v: QVector, space: SplitSpace,
-               frame: Frame | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (v1, v2) with v = sum_m b_m v1_m + sum_m b_m v2_m * j."""
-    frame = frame or space.frame
-    if np.linalg.norm(frame.i.direction - space.i.direction) > 1e-12:
-        raise StructureError("frame is inconsistent with the splitting unit")
-    return symplectic_split((space.basis.H @ v).data, frame)
-
-
-def from_components(v1: np.ndarray, v2: np.ndarray,
-                    space: SplitSpace) -> QVector:
-    """Inverse of :func:`components`."""
-    return space.basis @ QVector(symplectic_join(v1, v2, space.frame))
 
 
 def restrict_to_plus(t: QMatrix, space: SplitSpace,
@@ -335,43 +319,6 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
                                          for op in (i_op, j_op, ji)]
         out.append(QMatrix(from_frame(np.stack(parts, axis=-1), frame)))
     return QuaternionifiedSpace(n // 4, basis, i_op, j_op, frame, out)
-
-
-# ---------------------------------------------------------------------------
-# conjugations on a complex carrier
-
-
-@dataclass(frozen=True)
-class Conjugation:
-    """Antilinear involution K(v) = sum_n conj(<b_n, v>) b_n of a complex
-    space, induced by an orthonormal basis; the fixed subspace is the real
-    span of that basis."""
-
-    basis: np.ndarray          # n x n complex, orthonormal columns
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        b = self.basis
-        return b @ (b.conj().T @ np.asarray(v, dtype=complex)).conj()
-
-    def fixed_real_span(self) -> np.ndarray:
-        return self.basis
-
-    def commutes_with(self, mat: np.ndarray) -> bool:
-        """A complex operator commutes with K iff its matrix in the inducing
-        basis is real."""
-        coeff = self.basis.conj().T @ np.asarray(mat, dtype=complex) @ self.basis
-        return float(np.linalg.norm(coeff.imag)) <= DEFAULT_TOL * max(
-            1.0, float(np.linalg.norm(coeff)))
-
-
-def conjugation_from_basis(basis: np.ndarray) -> Conjugation:
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise BasisError("conjugation needs a full square basis")
-    gram = basis.conj().T @ basis
-    if np.linalg.norm(gram - np.eye(basis.shape[1])) > 1e-10 * basis.shape[1]:
-        raise BasisError("basis is not orthonormal")
-    return Conjugation(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,9 @@ from .errors import (
     DimensionError,
     NotAntiSelfAdjoint,
     NotInImage,
-    NotNormal,
 )
 from .quat import (
     Frame,
-    ImaginaryUnit,
     Quaternion,
     STANDARD_FRAME,
     conj4,
@@ -37,8 +35,6 @@ from .quat import (
 )
 
 DEFAULT_TOL = 1e-10
-NORMALITY_TOL = 1e-9
-PAIRING_TOL = 1e-8
 CLUSTER_TOL = 1e-7
 
 
@@ -233,10 +229,6 @@ def inner(v: QVector, u: QVector) -> Quaternion:
     return Quaternion.from_array(mul4(conj4(v.data), u.data).sum(axis=0))
 
 
-def adjoint(t: QMatrix) -> QMatrix:
-    return t.H
-
-
 def outer(u: QVector, v: QVector) -> QMatrix:
     """Rank-one right-linear operator w -> u * <v, w>."""
     return QMatrix(mul4(u.data[:, None, :], conj4(v.data)[None, :, :]))
@@ -364,54 +356,6 @@ def classify_operator(t: QMatrix, tol: float = DEFAULT_TOL) -> OperatorFlags:
 def is_unitary(t: QMatrix) -> bool:
     return ((t.H @ t - QMatrix.identity(t.n)).frob()
             <= DEFAULT_TOL * max(1.0, t.frob() ** 2))
-
-
-def s_eigenspheres(t: QMatrix,
-                   i: ImaginaryUnit) -> list[tuple[Quaternion, int]]:
-    """Spectral spheres of a normal operator.
-
-    The eigenvalues of the complex embedding come in conjugate pairs; each
-    pair is one similarity sphere and is reported once through its
-    representative in the closed upper half plane of i, with multiplicities
-    summing to n.  Pairing is nearest-neighbour with ties broken by sorted
-    order.
-    """
-    scale = max(1.0, t.frob())
-    comm = (t @ t.H - t.H @ t).frob()
-    if comm > NORMALITY_TOL * scale * scale:
-        raise NotNormal(f"commutator residual {comm:.3e} exceeds "
-                        f"{NORMALITY_TOL:.1e} * scale^2")
-    eigs = np.linalg.eigvals(complex_embed(t))
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    used = np.zeros(eigs.size, dtype=bool)
-    reps: list[complex] = []
-    for idx in np.argsort(-np.abs(eigs.imag), kind="stable"):
-        if used[idx]:
-            continue
-        used[idx] = True
-        target = eigs[idx].conjugate()
-        candidates = np.flatnonzero(~used)
-        if candidates.size == 0:
-            reps.append(complex(eigs[idx].real, abs(eigs[idx].imag)))
-            continue
-        partner = candidates[int(np.argmin(np.abs(eigs[candidates] - target)))]
-        used[partner] = True
-        lam, mu = eigs[idx], eigs[partner]
-        reps.append(complex(0.5 * (lam.real + mu.real),
-                            0.5 * abs(lam.imag - mu.imag)))
-    reps.sort(key=lambda z: (z.real, z.imag))
-    clusters: list[tuple[complex, int]] = []
-    for rep in reps:
-        if clusters and abs(rep - clusters[-1][0]) <= PAIRING_TOL * scale:
-            prev, count = clusters[-1]
-            clusters[-1] = ((prev * count + rep) / (count + 1), count + 1)
-        else:
-            clusters.append((rep, 1))
-    return [
-        (Quaternion(rep.real, *(rep.imag * i.direction)), count)
-        for rep, count in clusters
-    ]
 
 
 def spectral_projections(t: QMatrix, frame: Frame = STANDARD_FRAME

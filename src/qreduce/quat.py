@@ -53,11 +53,6 @@ def conj4(a: np.ndarray) -> np.ndarray:
     return a * _CONJ_SIGNS
 
 
-def norm4(a: np.ndarray) -> np.ndarray:
-    """Euclidean modulus along the last axis."""
-    return np.sqrt(np.sum(a * a, axis=-1))
-
-
 def matmul4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of quaternion-entry arrays.
 

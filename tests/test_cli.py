@@ -111,6 +111,21 @@ def test_classify_complex_induced_file(tmp_path, capsys):
     assert "J" in verdict
 
 
+def test_classify_complex_induced_file_scaled_by_1e200(tmp_path, capsys):
+    """The squared entries of these generators overflow, so the verdict may
+    not rest on a plain Frobenius norm of them."""
+    rng = np.random.default_rng(0)
+    gens, _ = sampling.plant_complex_induced(rng, 2)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(
+        {"n": 2, "generators": [(g * 1e200).to_json() for g in gens]}))
+    code, report, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    verdict = report["artifacts"]["classification"]
+    assert verdict["kind"] == "ComplexInduced"
+    assert verdict["commutant_dim"] == 2
+
+
 def test_classify_proper_file(tmp_path, capsys):
     rng = np.random.default_rng(1)
     path = _write_algebra(tmp_path, sampling.plant_proper(rng, 2))

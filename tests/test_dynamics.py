@@ -1,36 +1,20 @@
-"""Tests for evolution, symplectic components, block propagation and the
+"""Tests for evolution, polar factors, transition probabilities and the
 co-unitary construction."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qreduce import sampling
 from qreduce.dynamics import (
     Hamiltonian,
-    assemble_hamiltonian,
     counitary_demo,
-    evolution_operator,
     evolve,
-    hamiltonian_block,
-    hamiltonian_components,
-    quaternionic_phase,
-    standard_left_mult,
-    symplectic_components,
     transition_probs,
-    wave_reconstruct,
 )
 from qreduce.errors import NormalizationError, StructureError
-from qreduce.functors import real_subspace_and_left_mult, split_plus_minus
-from qreduce.qlinalg import QMatrix, QVector, commutator_norm
-from qreduce.quat import (
-    E1,
-    E2,
-    Quaternion,
-    STANDARD_FRAME,
-    UNIT_E1,
-    frame_complete,
-)
+from qreduce.functors import split_plus_minus
+from qreduce.qlinalg import QMatrix, QVector, commutator_norm, expm_antiselfadjoint
+from qreduce.quat import E1, E2, Quaternion, UNIT_E1
 
 
 def test_hamiltonian_requires_antiselfadjoint():
@@ -72,7 +56,7 @@ def test_evolution_operator_matches_vector_path():
     rng = np.random.default_rng(2)
     n = 3
     h = Hamiltonian(sampling.antiselfadjoint(rng, n))
-    u = evolution_operator(h, 0.9)
+    u = expm_antiselfadjoint(h.mat * -0.9)
     v = sampling.qvector(rng, n)
     assert ((u @ v) - evolve(h, v, 0.9)).norm() <= 1e-10
 
@@ -84,115 +68,6 @@ def test_polar_factors_commute():
         j_factor, modulus = h.polar_factors()
         assert (j_factor @ modulus - h.mat).frob() <= 1e-9 * max(1.0, h.mat.frob())
         assert commutator_norm(j_factor, modulus) <= 1e-9 * max(1.0, h.mat.frob())
-
-
-def test_symplectic_components_scalar_example():
-    left = standard_left_mult(1)
-    v = QVector.from_quaternions([Quaternion(1, 2, 3, 4)])
-    wave = symplectic_components(v, STANDARD_FRAME, left)
-    assert wave.f1[0] == pytest.approx(1 + 2j)
-    assert wave.f2[0] == pytest.approx(3 - 4j)
-    back = wave_reconstruct(wave, STANDARD_FRAME, left)
-    assert (back - v).norm() <= 1e-13
-
-
-def test_symplectic_components_pure_complex_vector():
-    left = standard_left_mult(3)
-    coords = np.array([1 + 2j, -0.5j, 3.0])
-    v = QVector.from_complex(coords, STANDARD_FRAME)
-    wave = symplectic_components(v, STANDARD_FRAME, left)
-    np.testing.assert_allclose(wave.f1, coords, atol=1e-13)
-    np.testing.assert_allclose(wave.f2, 0, atol=1e-13)
-
-
-def test_symplectic_components_roundtrip_general_left_mult():
-    rng = np.random.default_rng(4)
-    n = 2
-    frame = frame_complete(sampling.imaginary_unit(rng))
-    w = sampling.unitary(rng, n)
-    i_op = w @ QMatrix.scalar(n, frame.i.as_quaternion()) @ w.H
-    j_op = w @ QMatrix.scalar(n, frame.j.as_quaternion()) @ w.H
-    left = real_subspace_and_left_mult(i_op, j_op, frame)
-    for _ in range(30):
-        v = sampling.qvector(rng, n)
-        wave = symplectic_components(v, frame, left)
-        assert (wave_reconstruct(wave, frame, left) - v).norm() <= 1e-11
-
-
-def test_symplectic_components_frame_mismatch():
-    left = standard_left_mult(2)
-    other = frame_complete(sampling.imaginary_unit(np.random.default_rng(5)))
-    with pytest.raises(StructureError):
-        symplectic_components(QVector.zeros(2), other, left)
-
-
-def random_component_quadruple(rng, n):
-    h0 = rng.standard_normal((n, n))
-    h0 = h0 - h0.T
-    rest = []
-    for _ in range(3):
-        h = rng.standard_normal((n, n))
-        rest.append(h + h.T)
-    return (h0, *rest)
-
-
-def test_assemble_and_disassemble_components():
-    rng = np.random.default_rng(6)
-    n = 3
-    parts = random_component_quadruple(rng, n)
-    mat = assemble_hamiltonian(*parts)
-    back = hamiltonian_components(mat)
-    for got, want in zip(back, parts):
-        np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-def test_assemble_rejects_non_antiselfadjoint():
-    n = 2
-    with pytest.raises(StructureError):
-        assemble_hamiltonian(np.eye(n), np.zeros((n, n)), np.zeros((n, n)),
-                             np.zeros((n, n)))
-
-
-def test_block_real_case_is_diagonal():
-    rng = np.random.default_rng(7)
-    n = 3
-    h0 = rng.standard_normal((n, n))
-    h0 = h0 - h0.T
-    zeros = np.zeros((n, n))
-    block = -hamiltonian_block(h0, zeros, zeros, zeros)
-    np.testing.assert_allclose(block[:n, :n], h0, atol=1e-14)
-    np.testing.assert_allclose(block[n:, n:], h0, atol=1e-14)
-    np.testing.assert_allclose(block[:n, n:], 0, atol=1e-14)
-    np.testing.assert_allclose(block[n:, :n], 0, atol=1e-14)
-
-
-def test_block_antihermitian_iff_assembled_antiselfadjoint():
-    rng = np.random.default_rng(8)
-    n = 2
-    parts = random_component_quadruple(rng, n)
-    block = hamiltonian_block(*parts)
-    assert np.linalg.norm(block + block.conj().T) <= 1e-10 * max(
-        1.0, np.linalg.norm(block))
-
-
-def test_block_propagation_matches_evolution():
-    rng = np.random.default_rng(9)
-    n = 3
-    parts = random_component_quadruple(rng, n)
-    mat = assemble_hamiltonian(*parts)
-    h = Hamiltonian(mat)
-    left = standard_left_mult(n)
-    block = hamiltonian_block(*parts)
-    for _ in range(10):
-        v = sampling.qvector(rng, n)
-        t = float(rng.uniform(-2, 2))
-        wave0 = symplectic_components(v, STANDARD_FRAME, left)
-        stacked = np.concatenate([wave0.f1, wave0.f2])
-        propagated = scipy.linalg.expm(t * block) @ stacked
-        evolved = evolve(h, v, t)
-        wave_t = symplectic_components(evolved, STANDARD_FRAME, left)
-        got = np.concatenate([wave_t.f1, wave_t.f2])
-        assert np.linalg.norm(got - propagated) <= 1e-8 * max(1.0, v.norm())
 
 
 def test_transition_probs_identities():
@@ -233,29 +108,6 @@ def test_transition_probs_agree_on_plus_space():
         p_c, p_s, p_h = transition_probs(v, u, space.frame)
         assert p_s <= 1e-12
         assert abs(p_h - p_c) <= 1e-12
-
-
-def test_quaternionic_phase_constant_and_closed_forms():
-    dt = 1e-3
-    const = [Quaternion(1.0)] * 10
-    for h in quaternionic_phase(const, dt):
-        assert abs(h) <= 1e-12
-
-    ts = np.arange(50) * dt
-    for unit in (E1, E2):
-        samples = [Quaternion(np.cos(t)) + unit * np.sin(t) for t in ts]
-        phases = quaternionic_phase(samples, dt)
-        for h in phases:
-            assert abs(h - unit) <= 2 * dt
-            assert abs(h.w) <= 5 * dt
-
-
-def test_quaternionic_phase_guards():
-    with pytest.raises(NormalizationError):
-        quaternionic_phase([Quaternion(2.0), Quaternion(2.0)], 0.1)
-    far = [Quaternion(1.0), E1]
-    with pytest.raises(ValueError):
-        quaternionic_phase(far, 0.1)
 
 
 def test_counitary_identity_candidate():

@@ -5,18 +5,14 @@ import pytest
 
 from qreduce import sampling
 from qreduce.errors import (
-    BasisError,
     DimensionError,
     DoesNotCommute,
     StructureError,
 )
 from qreduce.functors import (
     SplitSpace,
-    components,
-    conjugation_from_basis,
     extend_from_plus,
     extend_scalars,
-    from_components,
     internal_complexify,
     internal_quaternionify,
     real_subspace_and_left_mult,
@@ -30,7 +26,7 @@ from qreduce.qlinalg import (
     inner,
     operator_norm,
 )
-from qreduce.quat import E1, E2, E3, Quaternion, UNIT_E1
+from qreduce.quat import E1, E2, E3, Quaternion, UNIT_E1, symplectic_split
 
 
 
@@ -121,7 +117,8 @@ def test_split_diagonal_j():
     assert space.n == n
     # the standard basis lies in H+, so the extracted basis spans it
     for m in range(n):
-        v1, v2 = components(QVector.basis(n, m), space)
+        v1, v2 = symplectic_split(
+            (space.basis.H @ QVector.basis(n, m)).data, space.frame)
         assert np.linalg.norm(v2) <= 1e-12
         assert np.linalg.norm(v1) == pytest.approx(1.0)
 
@@ -166,50 +163,6 @@ def test_split_unitary_conjugation_moves_basis():
     for b in old.plus_basis():
         w = u @ b
         assert ((moved @ w) - w * iq).norm() <= 1e-9
-
-
-def test_components_basis_vectors_and_roundtrip():
-    rng = np.random.default_rng(5)
-    n = 3
-    j = sampling.anti_unit(rng, n)
-    space = split_plus_minus(j, UNIT_E1)
-    b0 = space.plus_basis()[0]
-    v1, v2 = components(b0, space)
-    np.testing.assert_allclose(v1, np.eye(n)[0], atol=1e-12)
-    np.testing.assert_allclose(v2, 0, atol=1e-12)
-    flipped = b0 * space.frame.j.as_quaternion()
-    v1, v2 = components(flipped, space)
-    np.testing.assert_allclose(v1, 0, atol=1e-12)
-    np.testing.assert_allclose(v2, np.eye(n)[0], atol=1e-12)
-    for _ in range(30):
-        v = sampling.qvector(rng, n)
-        v1, v2 = components(v, space)
-        assert (from_components(v1, v2, space) - v).norm() <= 1e-10
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_components_roundtrip_random_axis(n):
-    rng = np.random.default_rng(60 + n)
-    j = sampling.anti_unit(rng, n)
-    space = split_plus_minus(j, sampling.imaginary_unit(rng))
-    i_dir, j_dir, k_dir = (space.frame.i.direction, space.frame.j.direction,
-                           space.frame.k.direction)
-    for _ in range(10):
-        v = sampling.qvector(rng, n)
-        v1, v2 = components(v, space)
-        assert v1.shape == v2.shape == (n,)
-        # entrywise reference: coordinates of <b_m, v> along the frame
-        coords = (space.basis.H @ v).data
-        np.testing.assert_allclose(v1, coords[:, 0] + 1j * (coords[:, 1:] @ i_dir),
-                                   rtol=0, atol=1e-14)
-        np.testing.assert_allclose(v2, coords[:, 1:] @ j_dir
-                                   + 1j * (coords[:, 1:] @ k_dir),
-                                   rtol=0, atol=1e-14)
-        assert (from_components(v1, v2, space) - v).norm() <= 1e-12 * v.norm()
-        c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        w1, w2 = components(from_components(c[0], c[1], space), space)
-        assert np.linalg.norm(np.concatenate([w1 - c[0], w2 - c[1]])) \
-            <= 1e-12 * np.linalg.norm(c)
 
 
 def test_restrict_j_gives_scalar_i():
@@ -401,39 +354,6 @@ def test_internal_quaternionify_errors():
     with pytest.raises(DoesNotCommute):
         internal_quaternionify([np.diag([1.0, 2, 3, 4])], i_op, j_op)
 
-
-# ---------------------------------------------------------------------------
-# conjugations
-
-
-def test_conjugation_standard_basis_is_entrywise():
-    rng = np.random.default_rng(14)
-    conj = conjugation_from_basis(np.eye(3, dtype=complex))
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    np.testing.assert_allclose(conj.apply(v), v.conj())
-
-
-def test_conjugation_involution_and_reality_criterion():
-    rng = np.random.default_rng(15)
-    n = 4
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    basis, _ = np.linalg.qr(raw)
-    conj = conjugation_from_basis(basis)
-    for _ in range(50):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        np.testing.assert_allclose(conj.apply(conj.apply(v)), v, atol=1e-11)
-        # norm preservation
-        assert np.linalg.norm(conj.apply(v)) == pytest.approx(np.linalg.norm(v))
-    real_mat = basis @ rng.standard_normal((n, n)) @ basis.conj().T
-    assert conj.commutes_with(real_mat)
-    assert not conj.commutes_with(1j * np.eye(n))
-
-
-def test_conjugation_rejects_bad_basis():
-    with pytest.raises(BasisError):
-        conjugation_from_basis(np.ones((2, 2), dtype=complex))
-    with pytest.raises(BasisError):
-        conjugation_from_basis(np.eye(3)[:, :2].astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from qreduce import sampling
-from qreduce.errors import DimensionError, NotAntiSelfAdjoint, NotInImage, NotNormal
+from qreduce.errors import DimensionError, NotAntiSelfAdjoint, NotInImage
 from qreduce.qlinalg import (
     QMatrix,
     QVector,
-    adjoint,
     block_symmetry_residual,
     classify_operator,
     commutator_norm,
@@ -25,7 +24,6 @@ from qreduce.qlinalg import (
     operator_norm,
     outer,
     polar_antiselfadjoint,
-    s_eigenspheres,
     spectral_projections,
     unembed_vector,
 )
@@ -125,13 +123,13 @@ def test_right_linearity_of_matrix_action():
 def test_adjoint_involution_and_pairing():
     rng = np.random.default_rng(3)
     t = QMatrix.diag([E1, E1])
-    assert (adjoint(t) + t).frob() == 0.0
+    assert (t.H + t).frob() == 0.0
     for _ in range(50):
         n = int(rng.integers(1, 5))
         t = sampling.qmatrix(rng, n)
-        np.testing.assert_allclose(adjoint(adjoint(t)).data, t.data)
+        np.testing.assert_allclose(t.H.H.data, t.data)
         v, u = sampling.qvector(rng, n), sampling.qvector(rng, n)
-        lhs = inner(adjoint(t) @ v, u)
+        lhs = inner(t.H @ v, u)
         rhs = inner(v, t @ u)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -231,52 +229,6 @@ def test_classify_operator_flags():
     flags = classify_operator(outer(v, v))
     assert flags.selfadjoint and flags.normal and flags.projection
     assert not flags.unitary
-
-
-def test_eigenspheres_identity_and_scalar():
-    spheres = s_eigenspheres(QMatrix.identity(3), STANDARD_FRAME.i)
-    assert len(spheres) == 1
-    rep, mult = spheres[0]
-    assert mult == 3 and rep.is_close(Quaternion(1.0), tol=1e-10)
-
-    spheres = s_eigenspheres(QMatrix.diag([E1]), STANDARD_FRAME.i)
-    assert len(spheres) == 1
-    rep, mult = spheres[0]
-    assert mult == 1 and rep.is_close(E1, tol=1e-12)
-
-
-def test_eigenspheres_real_symmetric_matches_real_oracle():
-    rng = np.random.default_rng(9)
-    swap = QMatrix.from_real(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    spheres = s_eigenspheres(swap, STANDARD_FRAME.i)
-    vals = sorted((rep.w, mult) for rep, mult in spheres)
-    assert vals[0] == (pytest.approx(-1.0), 1)
-    assert vals[1] == (pytest.approx(1.0), 1)
-
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        t = sampling.selfadjoint(rng, n)
-        spheres = s_eigenspheres(t, STANDARD_FRAME.i)
-        assert sum(m for _, m in spheres) == n
-        got = np.sort(np.concatenate([[rep.w] * (4 * m) for rep, m in spheres]))
-        oracle = np.sort(np.linalg.eigvalsh(real_embedding(t)))
-        np.testing.assert_allclose(got, oracle, atol=1e-9)
-
-
-def test_eigenspheres_rejects_non_normal():
-    t = QMatrix.from_real(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotNormal):
-        s_eigenspheres(t, STANDARD_FRAME.i)
-
-
-def test_eigensphere_invariance_under_frame_of_report_unit():
-    rng = np.random.default_rng(10)
-    t = sampling.selfadjoint(rng, 3)
-    u = sampling.imaginary_unit(rng)
-    spheres = s_eigenspheres(t, u)
-    assert sum(m for _, m in spheres) == 3
-    for rep, _ in spheres:
-        assert np.linalg.norm(rep.vec) <= 1e-9  # selfadjoint: real spheres
 
 
 def test_spectral_projections_partition_identity():

@@ -24,7 +24,6 @@ from qreduce.quat import (
     from_frame,
     matmul4,
     mul4,
-    norm4,
     sphere_representative,
     symplectic_join,
     symplectic_split,
@@ -124,7 +123,6 @@ def test_vectorized_kernel_matches_scalar():
                                    atol=1e-13)
     np.testing.assert_allclose(conj4(a)[:, 0], a[:, 0])
     np.testing.assert_allclose(conj4(a)[:, 1:], -a[:, 1:])
-    np.testing.assert_allclose(norm4(a), [abs(Quaternion.from_array(r)) for r in a])
 
 
 def test_structure_tensor_is_the_hamilton_table():
@@ -229,7 +227,8 @@ def test_frame_coordinates_roundtrip_random_frames(shape):
         a = rng.standard_normal(shape)
         for back in (from_frame(to_frame(a, f), f), to_frame(from_frame(a, f), f)):
             assert back.shape == shape
-            assert np.all(norm4(back - a) <= 1e-15 * norm4(a))
+            assert np.all(np.linalg.norm(back - a, axis=-1)
+                          <= 1e-15 * np.linalg.norm(a, axis=-1))
 
 
 def test_frame_coordinates_are_inner_products_with_axes():
@@ -259,11 +258,12 @@ def test_symplectic_split_of_arrays_matches_scalar_split():
     assert z1.shape == z2.shape == (3, 5)
     for idx in np.ndindex(3, 5):
         w1, w2 = symplectic_split(Quaternion.from_array(a[idx]), f)
-        assert abs(z1[idx] - w1) <= 1e-15 * norm4(a[idx])
-        assert abs(z2[idx] - w2) <= 1e-15 * norm4(a[idx])
+        assert abs(z1[idx] - w1) <= 1e-15 * np.linalg.norm(a[idx], axis=-1)
+        assert abs(z2[idx] - w2) <= 1e-15 * np.linalg.norm(a[idx], axis=-1)
     back = symplectic_join(z1, z2, f)
     assert back.shape == a.shape
-    assert np.all(norm4(back - a) <= 1e-15 * norm4(a))
+    assert np.all(np.linalg.norm(back - a, axis=-1)
+                  <= 1e-15 * np.linalg.norm(a, axis=-1))
 
 
 def test_frame_rotation_used_only_in_quat():
