@@ -26,7 +26,15 @@ from qreduce.qlinalg import (
     inner,
     operator_norm,
 )
-from qreduce.quat import E1, E2, E3, Quaternion, UNIT_E1, symplectic_split
+from qreduce.quat import (
+    E1,
+    E2,
+    E3,
+    Quaternion,
+    UNIT_E1,
+    symplectic_join,
+    symplectic_split,
+)
 
 
 
@@ -117,8 +125,7 @@ def test_split_diagonal_j():
     assert space.n == n
     # the standard basis lies in H+, so the extracted basis spans it
     for m in range(n):
-        v1, v2 = symplectic_split(
-            (space.basis.H @ QVector.basis(n, m)).data, space.frame)
+        v1, v2 = components(QVector.basis(n, m), space)
         assert np.linalg.norm(v2) <= 1e-12
         assert np.linalg.norm(v1) == pytest.approx(1.0)
 
@@ -163,6 +170,65 @@ def test_split_unitary_conjugation_moves_basis():
     for b in old.plus_basis():
         w = u @ b
         assert ((moved @ w) - w * iq).norm() <= 1e-9
+
+
+def components(v: QVector, space: SplitSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Plus-basis coordinates (v1, v2), v = sum_m b_m v1_m + sum_m b_m v2_m * j.
+
+    The same basis-then-frame split that `restrict_to_plus` applies to
+    operators, here on a vector.
+    """
+    return symplectic_split((space.basis.H @ v).data, space.frame)
+
+
+def from_components(v1: np.ndarray, v2: np.ndarray,
+                    space: SplitSpace) -> QVector:
+    """Inverse of :func:`components`, as `extend_from_plus` lifts operators."""
+    return space.basis @ QVector(symplectic_join(v1, v2, space.frame))
+
+
+def test_components_basis_vectors_and_roundtrip():
+    rng = np.random.default_rng(5)
+    n = 3
+    j = sampling.anti_unit(rng, n)
+    space = split_plus_minus(j, UNIT_E1)
+    b0 = space.plus_basis()[0]
+    v1, v2 = components(b0, space)
+    np.testing.assert_allclose(v1, np.eye(n)[0], atol=1e-12)
+    np.testing.assert_allclose(v2, 0, atol=1e-12)
+    flipped = b0 * space.frame.j.as_quaternion()
+    v1, v2 = components(flipped, space)
+    np.testing.assert_allclose(v1, 0, atol=1e-12)
+    np.testing.assert_allclose(v2, np.eye(n)[0], atol=1e-12)
+    for _ in range(30):
+        v = sampling.qvector(rng, n)
+        v1, v2 = components(v, space)
+        assert (from_components(v1, v2, space) - v).norm() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_components_roundtrip_random_axis(n):
+    rng = np.random.default_rng(60 + n)
+    j = sampling.anti_unit(rng, n)
+    space = split_plus_minus(j, sampling.imaginary_unit(rng))
+    i_dir, j_dir, k_dir = (space.frame.i.direction, space.frame.j.direction,
+                           space.frame.k.direction)
+    for _ in range(10):
+        v = sampling.qvector(rng, n)
+        v1, v2 = components(v, space)
+        assert v1.shape == v2.shape == (n,)
+        # entrywise reference: coordinates of <b_m, v> along the frame
+        coords = (space.basis.H @ v).data
+        np.testing.assert_allclose(v1, coords[:, 0] + 1j * (coords[:, 1:] @ i_dir),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v2, coords[:, 1:] @ j_dir
+                                   + 1j * (coords[:, 1:] @ k_dir),
+                                   rtol=0, atol=1e-14)
+        assert (from_components(v1, v2, space) - v).norm() <= 1e-12 * v.norm()
+        c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        w1, w2 = components(from_components(c[0], c[1], space), space)
+        assert np.linalg.norm(np.concatenate([w1 - c[0], w2 - c[1]])) \
+            <= 1e-12 * np.linalg.norm(c)
 
 
 def test_restrict_j_gives_scalar_i():
