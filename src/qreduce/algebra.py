@@ -46,12 +46,15 @@ from .functors import (
 from .qlinalg import (
     QMatrix,
     QVector,
+    binary_scaled,
+    commutator_residual,
     complex_matrix_to_json,
     outer,
+    relative_residual,
     spectral_projections,
 )
 from .quat import QTENSOR, ImaginaryUnit, conj4, matmul4
-from .report import Check
+from .report import Check, max_residual
 
 SV_CUTOFF = 1e-9
 MEMBERSHIP_TOL = 1e-8
@@ -214,14 +217,6 @@ def _nullspace_rows(blocks: list[np.ndarray], cutoff: float,
     return null
 
 
-def _binary_scaled(mats: np.ndarray) -> np.ndarray:
-    """Each matrix of a (k, n, n, 4) stack times the power of two that puts
-    its largest entry in [1/2, 1), so that a Frobenius norm of it neither
-    overflows nor underflows.  The scaling is exact in the normal range."""
-    peak = np.abs(mats.reshape(len(mats), -1)).max(axis=1, initial=0.0)
-    return np.ldexp(mats, -np.frexp(peak)[1][:, None, None, None])
-
-
 def _commutant_of(mats: np.ndarray) -> CommutantBasis:
     """Commutant (S u S*)' of a (k, n, n, 4) stack S of matrices; this is
     S' for the *-closed stacks passed here (the generators; the commutant
@@ -238,7 +233,7 @@ def _commutant_of(mats: np.ndarray) -> CommutantBasis:
     and the two blocks of :func:`_commutator_constraint` are decided
     separately by :func:`_nullspace_rows` under the one threshold of the
     whole constraint.  The rows come out selfadjoint first, then skew."""
-    mats = _binary_scaled(mats)
+    mats = binary_scaled(mats)
     norms = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
     unit = mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
     return CommutantBasis(_from_adjoint_coordinates(
@@ -264,7 +259,7 @@ class StarAlgebra:
             if g.n != n:
                 raise ValueError("generators have mixed dimensions")
             gens.append(g)
-            s = _binary_scaled(g.data[None])[0]
+            s = binary_scaled(g.data)
             if (np.linalg.norm(s - conj4(np.swapaxes(s, 0, 1)))
                     > 1e-14 * np.linalg.norm(s)):
                 gens.append(g.H)
@@ -343,8 +338,9 @@ def generated_algebra(algebra: StarAlgebra) -> CommutantBasis:
 
 def subspace_gap(a: CommutantBasis, b: CommutantBasis) -> float:
     """Largest distance of a basis row of either subspace from the other."""
-    return max(float(np.linalg.norm(x - (x @ y.T) @ y, axis=1).max(initial=0.0))
-               for x, y in ((a.mat, b.mat), (b.mat, a.mat)))
+    return max_residual(*(
+        float(np.linalg.norm(x - (x @ y.T) @ y, axis=1).max(initial=0.0))
+        for x, y in ((a.mat, b.mat), (b.mat, a.mat))))
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +447,11 @@ def classify_irreducible(algebra: StarAlgebra) -> Classification:
     units = [_fix_sign(QMatrix(math.sqrt(n) * row.reshape(n, n, 4)))
              for row in skew[:2]]
     ident = QMatrix.identity(n)
-    residual = max([(u @ u + ident).frob() for u in units], default=0.0)
+    residual = max_residual(*((u @ u + ident).frob() for u in units))
     if len(units) == 2:
-        residual = max(residual,
-                       (units[0] @ units[1] + units[1] @ units[0]).frob())
-    if residual > MEMBERSHIP_TOL * math.sqrt(n):
+        residual = max_residual(
+            residual, (units[0] @ units[1] + units[1] @ units[0]).frob())
+    if not residual <= MEMBERSHIP_TOL * math.sqrt(n):
         raise InternalInconsistency(
             f"recovered units fail U^2 = -I or anticommutation "
             f"(residual {residual:.2e})")
@@ -500,10 +496,9 @@ class ReductionReport:
 def _projection_samples(algebra: StarAlgebra) -> list[QMatrix]:
     samples = [QMatrix.identity(algebra.n)]
     for g in algebra.generators[1:]:
-        sym = (g + g.H) * 0.5
-        if sym.frob() <= 1e-12:
+        if relative_residual(lambda x: (x + x.H) * 0.5, g) <= 1e-12:
             continue
-        for _, proj in spectral_projections(sym):
+        for _, proj in spectral_projections((g + g.H) * 0.5):
             samples.append(proj)
     return samples
 
@@ -540,10 +535,11 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
             "compatible J")
     j = classification.J
     for idx, u in enumerate(evolution):
-        res = (u @ j - j @ u).frob()
-        if res > 1e-9 * max(1.0, u.frob()):
+        res = commutator_residual(j, u)
+        if not res <= 1e-9:
             raise DoesNotCommute(res, f"evolution operator {idx} does not "
-                                 f"commute with J (residual {res:.2e})")
+                                 f"commute with J (relative residual "
+                                 f"{res:.2e})")
     space = split_plus_minus(j, i)
     n = algebra.n
     rng = np.random.default_rng(seed)
@@ -558,10 +554,10 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
     for e in _projection_samples(algebra):
         restricted = restrict_to_plus(e, space, tol=1e-7)
         rebuilt = extend_from_plus(restricted, space)
-        worst_ext = max(worst_ext, (rebuilt - e).frob())
+        worst_ext = max_residual(worst_ext, (rebuilt - e).frob())
         rank_h = e.trace().w
         rank_c = float(np.trace(restricted).real)
-        worst_rank = max(worst_rank, abs(rank_h - rank_c))
+        worst_rank = max_residual(worst_rank, abs(rank_h - rank_c))
     checks.append(Check("projection_extension", worst_ext, 1e-8))
     checks.append(Check("projection_rank_match", worst_rank, 1e-8))
 
@@ -576,12 +572,12 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
         probe = QVector(rng.standard_normal((n, 4)))
         rep = _ray_representative(e, space, probe)
         if rep is None:
-            worst_ray = max(worst_ray, 1.0)
+            worst_ray = max_residual(worst_ray, 1.0)
             continue
         in_plus = ((space.J @ rep) - rep * iq).norm()
         in_range = ((e @ rep) - rep).norm()
         spans_ray = (outer(rep, rep) - e).frob()
-        worst_ray = max(worst_ray, in_plus, in_range, spans_ray)
+        worst_ray = max_residual(worst_ray, in_plus, in_range, spans_ray)
     checks.append(Check("ray_representative", worst_ray, 1e-8))
 
     # (d) evolution restricts to a unitary and extends back
@@ -593,14 +589,16 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
         restricted = restrict_to_plus(u, space, tol=1e-8)
         restricted_evo.append(restricted)
         gram = restricted.conj().T @ restricted - np.eye(n)
-        worst_unitary = max(worst_unitary, float(np.linalg.norm(gram)))
+        worst_unitary = max_residual(worst_unitary,
+                                     float(np.linalg.norm(gram)))
         rebuilt = extend_from_plus(restricted, space)
-        worst_roundtrip = max(worst_roundtrip, (rebuilt - u).frob())
+        worst_roundtrip = max_residual(worst_roundtrip,
+                                       (rebuilt - u).frob())
         coords = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = space.basis @ QVector.from_complex(coords, space.frame)
         v = v * (1.0 / v.norm())
         moved = u @ v
-        worst_invariance = max(
+        worst_invariance = max_residual(
             worst_invariance, ((space.J @ moved) - moved * iq).norm())
     checks.append(Check("evolution_restriction_unitary", worst_unitary, 1e-9))
     checks.append(Check("evolution_roundtrip", worst_roundtrip, 1e-9))

@@ -12,18 +12,26 @@ reported check, as does the --tol flag; both must be finite and positive.
 unscaled checks, and it sets the status from the scaled ones.  Checks
 that count failures carry tolerance 0, which no scale moves.  Decision
 thresholds (commutant rank, irreducibility) are fixed.
+
+`main` runs BLAS at one thread, because thread start-up and
+synchronisation cost more than they save on the n <= 8 problems here,
+unless the user has set a BLAS thread variable such as
+OPENBLAS_NUM_THREADS; importing the package leaves BLAS as it is.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, sampling
 from .algebra import (
@@ -37,9 +45,14 @@ from .algebra import (
 from .dynamics import Hamiltonian, counitary_demo, evolution_trace, transition_probs
 from .errors import QReduceError
 from .functors import split_plus_minus
-from .qlinalg import QMatrix, QVector, expm_antiselfadjoint
+from .qlinalg import (
+    QMatrix,
+    QVector,
+    commutator_residual,
+    expm_antiselfadjoint,
+)
 from .quat import ImaginaryUnit, UNIT_E1, UNIT_E2, UNIT_E3
-from .report import Check
+from .report import Check, max_residual
 from .verify import DEFAULT_DIMS, run_verify
 
 MAX_DIM = 8
@@ -209,18 +222,6 @@ def cmd_verify(args) -> int:
 # classify
 
 
-def _commutator_residual(op: QMatrix, g: QMatrix) -> float:
-    """|[op, g]| / max(1, |g|).  An entry of g of modulus 1 or more makes
-    |g| >= 1, and the quotient is then taken for g times the power of two
-    that brings its entries below 1: the scaling is exact and cancels, and
-    neither norm overflows however large g is."""
-    peak = np.abs(g.data).max()
-    if peak < 1.0:
-        return (op @ g - g @ op).frob() / max(1.0, g.frob())
-    scaled = g * math.ldexp(1.0, -int(np.frexp(peak)[1]))
-    return (op @ scaled - scaled @ op).frob() / scaled.frob()
-
-
 def _classification_checks(verdict, algebra) -> list[Check]:
     checks = [Check("commutant_dim_in_trichotomy",
                     0.0 if verdict.commutant_dim in (1, 2, 4) else 1.0, 0.0)]
@@ -231,7 +232,8 @@ def _classification_checks(verdict, algebra) -> list[Check]:
         checks.append(Check(f"{name}_antiselfadjoint", (op + op.H).frob(), 1e-8))
         checks.append(Check(f"{name}_square_minus_identity",
                             (op @ op + ident).frob(), 1e-8))
-        worst = max(_commutator_residual(op, g) for g in algebra.generators)
+        worst = max_residual(*(commutator_residual(op, g)
+                               for g in algebra.generators))
         checks.append(Check(f"{name}_commutes_with_generators", worst, 1e-8))
     for a in range(len(present)):
         for b in range(a + 1, len(present)):
@@ -321,7 +323,7 @@ def _demo_adler(seed: int) -> tuple[list[Check], dict]:
         p_c, p_s, p_h = transition_probs(a, b, frame)
         rows.append({"pair": f"plus_{idx}", "section": "plus_space",
                      "pC": p_c, "pS": p_s, "pH": p_h})
-        worst_ps = max(worst_ps, p_s)
+        worst_ps = max_residual(worst_ps, p_s)
     checks.append(Check("adler_plus_section_pS", worst_ps, 1e-12))
 
     # trajectory of a plus-space state under the planted J-commuting flow
@@ -329,7 +331,7 @@ def _demo_adler(seed: int) -> tuple[list[Check], dict]:
         rng.standard_normal(n) + 1j * rng.standard_normal(n), frame)
     start = start * (1.0 / start.norm())
     trace = evolution_trace(hamiltonian, start, [0.0, 0.5, 1.0, 1.5, 2.0])
-    worst_norm = max(abs(x - 1.0) for x in trace["norms"])
+    worst_norm = max_residual(*(abs(x - 1.0) for x in trace["norms"]))
     checks.append(Check("adler_trace_unitarity", worst_norm, 1e-9))
     return checks, {"which": "adler", "seed": seed, "table": rows,
                     "trace": trace}
@@ -342,10 +344,9 @@ def _demo_counitary(seed: int) -> tuple[list[Check], dict]:
     unitaries = [sampling.unitary(rng, n) for _ in range(3)]
     result = counitary_demo(hq, unitaries, seed=seed)
     checks = [Check("counitary_rmqq", result.max_rmqq_residual, 1e-10)]
-    min_sep = min(result.central_distances[a, b]
-                  for a in range(3) for b in range(a + 1, 3))
+    min_sep = result.central_distances[np.triu_indices(3, 1)].min()
     checks.append(Check("counitary_candidates_differ",
-                        max(0.0, 0.1 - min_sep), 0.0))
+                        max_residual(0.0, 0.1 - min_sep), 0.0))
     return checks, {
         "which": "counitary",
         "seed": seed,
@@ -434,6 +435,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Variables by which a user sets the thread count of a BLAS library.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                          "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# dlopen flag that finds a library only if it is loaded already; Windows
+# has none, and there a loaded DLL is found by its path anyway.
+_NOLOAD = getattr(os, "RTLD_NOLOAD", 0)
+# Thread-count setters of the OpenBLAS builds in the numpy (64-bit
+# integer interface) and scipy wheels.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+def _openblas_libraries() -> list[ctypes.CDLL]:
+    """The OpenBLAS copies in the library folders of the numpy and scipy
+    wheels that this process has loaded; the lookup loads none itself."""
+    found = []
+    for package in (np, scipy):
+        folder = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(folder.glob("*openblas*")):
+            try:
+                found.append(ctypes.CDLL(str(path), mode=_NOLOAD))
+            except OSError:                      # not loaded
+                pass
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _one_blas_thread() -> tuple[ctypes.CDLL, ...]:
+    """Set every loaded OpenBLAS copy to one thread, once per process, and
+    return the copies set.  numpy and scipy each load their own copy, and
+    both are loaded by the time `main` runs, too late for a thread
+    variable to act, so each is set through its runtime setter.  Nothing
+    is set when the user has set a BLAS thread variable, or when no setter
+    is found."""
+    if any(os.environ.get(name) for name in _BLAS_THREAD_VARIABLES):
+        return ()
+    pinned = []
+    for lib in _openblas_libraries():
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                pinned.append(lib)
+    return tuple(pinned)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser of `main`, built on its first call; parsing leaves it
@@ -442,6 +491,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _one_blas_thread()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)

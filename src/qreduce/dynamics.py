@@ -21,9 +21,11 @@ from .qlinalg import (
     is_unitary,
     operator_norm,
     polar_antiselfadjoint,
+    relative_residual,
     unembed_vector,
 )
 from .quat import Frame, Quaternion, STANDARD_FRAME, symplectic_split
+from .report import max_residual
 
 ANTI_TOL = 1e-10
 
@@ -36,10 +38,10 @@ class Hamiltonian:
     frame: Frame = STANDARD_FRAME
 
     def __post_init__(self):
-        res = (self.mat + self.mat.H).frob()
-        if res > ANTI_TOL * max(1.0, self.mat.frob()):
-            raise StructureError(
-                f"Hamiltonian must be anti-selfadjoint (residual {res:.2e})")
+        res = relative_residual(lambda h: h + h.H, self.mat)
+        if not res <= ANTI_TOL:
+            raise StructureError(f"Hamiltonian must be anti-selfadjoint "
+                                 f"(relative residual {res:.2e})")
 
     @property
     def n(self) -> int:
@@ -112,7 +114,7 @@ class CounitaryReport:
 
     @property
     def max_rmqq_residual(self) -> float:
-        return max(self.rmqq_residuals) if self.rmqq_residuals else 0.0
+        return max_residual(*self.rmqq_residuals)
 
 
 def counitary_demo(hq: Quaternion, u_list: list[QMatrix], trials: int = 8,
@@ -145,10 +147,10 @@ def counitary_demo(hq: Quaternion, u_list: list[QMatrix], trials: int = 8,
             a = Quaternion.from_array(rng.standard_normal(4))
             lhs = (u @ (v * a)) * h_inv
             rhs = ((u @ v) * h_inv) * phi(a)
-            worst = max(worst, (lhs - rhs).norm())
+            worst = max_residual(worst, (lhs - rhs).norm())
             got = inner((u @ v) * h_inv, (u @ w) * h_inv)
             want = phi(inner(v, w))
-            worst = max(worst, abs(got - want))
+            worst = max_residual(worst, abs(got - want))
         residuals.append(worst)
 
     m = len(u_list)

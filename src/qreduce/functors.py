@@ -26,7 +26,7 @@ from .errors import (
     InternalInconsistency,
     StructureError,
 )
-from .qlinalg import QMatrix, QVector
+from .qlinalg import QMatrix, QVector, commutator_residual
 from .quat import (
     Frame,
     ImaginaryUnit,
@@ -170,8 +170,8 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
 def restrict_to_plus(t: QMatrix, space: SplitSpace,
                      tol: float = 1e-9) -> np.ndarray:
     """Complex matrix of a J-commuting operator in the plus basis."""
-    res = (t @ space.J - space.J @ t).frob()
-    if res > tol * max(1.0, t.frob()):
+    res = commutator_residual(space.J, t)
+    if not res <= tol:
         raise DoesNotCommute(res)
     coeff = space.basis.H @ t @ space.basis
     return symplectic_split(coeff.data, space.frame)[0]

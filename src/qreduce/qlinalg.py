@@ -238,6 +238,34 @@ def commutator_norm(a: QMatrix, b: QMatrix) -> float:
     return (a @ b - b @ a).frob()
 
 
+def binary_scaled(data: np.ndarray) -> np.ndarray:
+    """Each matrix of a (..., n, n, 4) array times the power of two that
+    puts its largest entry in [1/2, 1), so that a Frobenius norm of it
+    neither overflows nor underflows.  The scaling is exact in the normal
+    range, and a zero matrix stays zero."""
+    peak = np.abs(data).max(axis=(-3, -2, -1), keepdims=True, initial=0.0)
+    return np.ldexp(data, -np.frexp(peak)[1])
+
+
+def relative_residual(residual, t: QMatrix) -> float:
+    """|residual(t)| / max(1, |t|) for a map `residual` linear in t.
+
+    An entry of t of modulus 1 or more makes |t| >= 1, and the quotient is
+    then taken for the binary-scaled t: the scaling is exact and cancels,
+    and neither norm overflows however large t is.  A guard
+    `not relative_residual(...) <= tol` therefore fires at every scale,
+    and on a NaN too."""
+    if np.abs(t.data).max() < 1.0:
+        return residual(t).frob() / max(1.0, t.frob())
+    scaled = QMatrix(binary_scaled(t.data))
+    return residual(scaled).frob() / scaled.frob()
+
+
+def commutator_residual(op: QMatrix, t: QMatrix) -> float:
+    """|[op, t]| / max(1, |t|) at any scale of t (see relative_residual)."""
+    return relative_residual(lambda x: op @ x - x @ op, t)
+
+
 # ---------------------------------------------------------------------------
 # complex embedding
 

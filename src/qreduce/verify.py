@@ -57,7 +57,7 @@ from .quat import (
     symplectic_join,
     symplectic_split,
 )
-from .report import Check
+from .report import Check, max_residual
 
 DEFAULT_DIMS = (2, 3, 4)
 
@@ -80,7 +80,7 @@ def _aggregate(name: str, runs: list[Check]) -> Check:
     residuals = [check.residual for check in runs]
     if tolerance == 0:
         return Check(name, sum(residuals), 0.0)
-    return Check(name, float(np.max(residuals)), tolerance)
+    return Check(name, max_residual(*residuals), tolerance)
 
 
 def _per_dim(trial, count=lambda trials: trials):
@@ -121,20 +121,20 @@ def prop_quat_invariants(seed_seq, dims, trials):
     for _ in range(count):
         p = sampling.quaternion(rng)
         q = sampling.quaternion(rng)
-        worst_norm = max(worst_norm,
-                         abs(abs(p * q) - abs(p) * abs(q))
-                         / max(abs(p) * abs(q), 1e-300))
+        worst_norm = max_residual(worst_norm,
+                                  abs(abs(p * q) - abs(p) * abs(q))
+                                  / max(abs(p) * abs(q), 1e-300))
         frame = frame_complete(sampling.imaginary_unit(rng))
         z1, z2 = symplectic_split(q, frame)
-        worst_split = max(worst_split,
-                          abs(symplectic_join(z1, z2, frame) - q))
+        worst_split = max_residual(worst_split,
+                                   abs(symplectic_join(z1, z2, frame) - q))
         h = sampling.unit_quaternion(rng)
         unit = sampling.imaginary_unit(rng)
         moved = sphere_representative(h * q * h.conjugate(), unit)
         plain = sphere_representative(q, unit)
-        worst_sphere = max(worst_sphere, abs(moved - plain))
+        worst_sphere = max_residual(worst_sphere, abs(moved - plain))
         iq, jq = frame.i.as_quaternion(), frame.j.as_quaternion()
-        worst_frame = max(worst_frame, abs(iq * jq + jq * iq))
+        worst_frame = max_residual(worst_frame, abs(iq * jq + jq * iq))
     return [
         Check("quat_multiplicative_norm", worst_norm, 1e-12),
         Check("quat_split_roundtrip", worst_split, 1e-14),
@@ -155,16 +155,18 @@ def prop_qlinalg_invariants(seed_seq, dims, trials):
         v = sampling.qvector(rng, n)
         a = sampling.quaternion(rng)
         gap = ((t @ (v * a)) - (t @ v) * a).norm()
-        worst_rlin = max(worst_rlin,
-                         gap / (1.0 + t.frob() * v.norm() * abs(a)))
+        worst_rlin = max_residual(worst_rlin,
+                                  gap / (1.0 + t.frob() * v.norm() * abs(a)))
         s = sampling.qmatrix(rng, n)
         frame = frame_complete(sampling.imaginary_unit(rng))
         ct, cs = complex_embed(t, frame), complex_embed(s, frame)
         hom = np.linalg.norm(complex_embed(t @ s, frame) - ct @ cs)
-        worst_hom = max(worst_hom,
-                        hom / max(1.0, np.linalg.norm(ct) * np.linalg.norm(cs)))
+        worst_hom = max_residual(
+            worst_hom,
+            hom / max(1.0, np.linalg.norm(ct) * np.linalg.norm(cs)))
         adj = np.linalg.norm(complex_embed(t.H, frame) - ct.conj().T)
-        worst_adj = max(worst_adj, adj / max(1.0, np.linalg.norm(ct)))
+        worst_adj = max_residual(worst_adj,
+                                 adj / max(1.0, np.linalg.norm(ct)))
     return [
         Check("qlinalg_right_linearity", worst_rlin, 1e-11),
         Check("qlinalg_embed_homomorphism", worst_hom, 1e-11),
@@ -231,8 +233,8 @@ def _functor_trial(rng, n, index):
     space = split_plus_minus(j, sampling.imaginary_unit(rng))
     lifted2 = extend_from_plus(mat, space)
     back = restrict_to_plus(lifted2, space)
-    norm_gap = max(norm_gap,
-                   abs(operator_norm(lifted2) - np.linalg.norm(mat, 2)))
+    norm_gap = max_residual(
+        norm_gap, abs(operator_norm(lifted2) - np.linalg.norm(mat, 2)))
     mismatches += _flag_mismatch(lifted2, back)
     return [
         Check("functor_norm", norm_gap, 1e-9),
@@ -256,7 +258,7 @@ def _splitting_trial(rng, n, index):
     iq = space.frame.i.as_quaternion()
     jq = space.frame.j.as_quaternion()
     flipped = [b * jq for b in space.plus_basis()]
-    jmap = max(((j @ f) + f * iq).norm() for f in flipped)
+    jmap = max_residual(*(((j @ f) + f * iq).norm() for f in flipped))
     mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     back = restrict_to_plus(extend_from_plus(mat, space), space)
     roundtrip = np.linalg.norm(back - mat) / max(1.0, np.linalg.norm(mat))
@@ -311,7 +313,8 @@ def prop_internal_constructions(seed_seq, dims, trials):
             coords_u = np.array([report.inner(report.basis[:, m], u)
                                  for m in range(report.dim)])
             via_coords = np.vdot(coords_v, coords_u)
-            worst_c_inner = max(worst_c_inner, abs(direct - via_coords))
+            worst_c_inner = max_residual(worst_c_inner,
+                                         abs(direct - via_coords))
 
         i_base, j_base = _left_unit_pair(n)
         for _ in range(count):
@@ -331,7 +334,7 @@ def prop_internal_constructions(seed_seq, dims, trials):
             via = Quaternion()
             for a, b in zip(coords_v, coords_u):
                 via = via + a.conjugate() * b
-            worst_q_inner = max(worst_q_inner, abs(direct - via))
+            worst_q_inner = max_residual(worst_q_inner, abs(direct - via))
     return [
         Check("internal_dimension_ledger", float(dim_failures), 0.0),
         Check("internal_complexify_inner", worst_c_inner, tol),
@@ -374,8 +377,8 @@ def _trichotomy_trial(rng, n, index):
         failures += 1
     else:
         ops = [verdict.I, verdict.J, verdict.K]
-        gap_ijk = max((ops[a] @ ops[b] + ops[b] @ ops[a]).frob()
-                      for a, b in ((0, 1), (0, 2), (1, 2)))
+        gap_ijk = max_residual(*((ops[a] @ ops[b] + ops[b] @ ops[a]).frob()
+                                 for a, b in ((0, 1), (0, 2), (1, 2))))
     return [
         Check("trichotomy_dims", float(failures), 0.0),
         Check("trichotomy_recover_j", gap_j, 1e-7),
@@ -396,9 +399,9 @@ def _bicommutant_trial(rng, n, index):
                  sampling.plant_complex_induced(rng, n)[0]):
         algebra = StarAlgebra(gens)
         bi = bicommutant(algebra)
-        gap = max(gap, subspace_gap(bi, generated_algebra(algebra)))
-        member = max(member, *(bi.membership_residual(g)
-                               for g in algebra.generators))
+        gap = max_residual(gap, subspace_gap(bi, generated_algebra(algebra)))
+        member = max_residual(member, *(bi.membership_residual(g)
+                                        for g in algebra.generators))
     return [
         Check("bicommutant_vs_generated", gap, 1e-8),
         Check("bicommutant_membership", member, 1e-8),
@@ -437,7 +440,7 @@ def prop_adler_probabilities(seed_seq, dims, trials):
     frame = frame_complete(sampling.imaginary_unit(rng))
     flipped = v * frame.j.as_quaternion()
     p_c, p_s, p_h = transition_probs(v, flipped, frame)
-    pair_residual = max(abs(p_c), abs(p_s - 1.0), abs(p_h - 1.0))
+    pair_residual = max_residual(abs(p_c), abs(p_s - 1.0), abs(p_h - 1.0))
 
     j = sampling.anti_unit(rng, n)
     space = split_plus_minus(j, sampling.imaginary_unit(rng))
@@ -451,8 +454,8 @@ def prop_adler_probabilities(seed_seq, dims, trials):
         a = a * (1.0 / a.norm())
         b = b * (1.0 / b.norm())
         p_c, p_s, p_h = transition_probs(a, b, space.frame)
-        worst_ps = max(worst_ps, p_s)
-        worst_eq = max(worst_eq, abs(p_h - p_c))
+        worst_ps = max_residual(worst_ps, p_s)
+        worst_eq = max_residual(worst_eq, abs(p_h - p_c))
     return [
         Check("adler_orthogonal_pair", pair_residual, tol),
         Check("adler_plus_space_symplectic", worst_ps, tol),
@@ -498,7 +501,8 @@ def prop_counitary(seed_seq, dims, trials):
         Check("counitary_rmqq", report.max_rmqq_residual, 1e-10),
         Check("counitary_sign_degeneracy", report.central_distances[1, 2],
               1e-10),
-        Check("counitary_separation", max(0.0, 0.1 - separation), 0.0),
+        Check("counitary_separation", max_residual(0.0, 0.1 - separation),
+              0.0),
     ]
 
 

@@ -828,6 +828,9 @@ def test_reduce_system_guards():
     algebra = StarAlgebra(gens)
     with pytest.raises(DoesNotCommute):
         reduce_system(algebra, [sampling.unitary(rng, 2)], UNIT_E1)
+    # a squared entry of this evolution overflows; the guard fires anyway
+    with pytest.raises(DoesNotCommute):
+        reduce_system(algebra, [sampling.unitary(rng, 2) * 1e200], UNIT_E1)
 
 
 def test_star_algebra_json_roundtrip():

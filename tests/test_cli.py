@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qreduce
 from qreduce import sampling
 from qreduce.algebra import StarAlgebra
 from qreduce import cli
@@ -124,6 +129,21 @@ def test_classify_complex_induced_file_scaled_by_1e200(tmp_path, capsys):
     verdict = report["artifacts"]["classification"]
     assert verdict["kind"] == "ComplexInduced"
     assert verdict["commutant_dim"] == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reduce_complex_induced_file_scaled_by_1e200(tmp_path, capsys):
+    """No norm of the reduction overflows, and every guard on the way
+    still compares finite relative residuals."""
+    rng = np.random.default_rng(0)
+    gens, _ = sampling.plant_complex_induced(rng, 2)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(
+        {"n": 2, "generators": [(g * 1e200).to_json() for g in gens]}))
+    code, report, _ = run_cli(capsys, "reduce", str(path))
+    assert code == 0
+    assert report["status"] == "pass"
+    assert all(check["pass"] for check in report["checks"])
 
 
 def test_classify_proper_file(tmp_path, capsys):
@@ -433,3 +453,79 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     code, report, _ = run_cli(capsys, "demo", "counitary", "--seed", "3")
     assert code == 0
     assert report["artifacts"]["seed"] == 3
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy
+
+
+@pytest.fixture
+def blas_policy(monkeypatch):
+    """No BLAS thread variable set, and `main` not yet run in the process
+    as far as the policy is concerned."""
+    for name in cli._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    cli._one_blas_thread.cache_clear()
+    yield
+    cli._one_blas_thread.cache_clear()
+
+
+def _openblas_function(lib, verb):
+    """The "set" or "get" thread-count function of an OpenBLAS copy."""
+    name = next(n for n in cli._OPENBLAS_SETTERS if hasattr(lib, n))
+    return getattr(lib, name.replace("_set_", f"_{verb}_"))
+
+
+def test_main_runs_every_openblas_copy_at_one_thread(blas_policy, capsys):
+    for lib in cli._openblas_libraries():
+        _openblas_function(lib, "set")(2)
+    assert main(["demo", "counitary"]) == 0
+    pinned = cli._one_blas_thread()
+    assert len(pinned) == 2           # numpy's copy and scipy's
+    assert [_openblas_function(lib, "get")() for lib in pinned] == [1, 1]
+
+
+def test_user_blas_thread_variable_is_honoured():
+    """With OPENBLAS_NUM_THREADS set, main leaves numpy's copy at it."""
+    script = "\n".join([
+        "import contextlib, io",
+        "from qreduce import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['demo', 'counitary'])",
+        "numpy_copy = cli._openblas_libraries()[0]",
+        "print(code, numpy_copy.scipy_openblas_get_num_threads64_())",
+    ])
+    src = str(Path(qreduce.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "2"]
+
+
+def test_blas_libraries_looked_up_once_per_process(blas_policy, capsys,
+                                                  monkeypatch):
+    main(["demo", "counitary"])
+    capsys.readouterr()
+
+    def looked_up_again():
+        raise AssertionError("main looked the BLAS libraries up again")
+
+    monkeypatch.setattr(cli, "_openblas_libraries", looked_up_again)
+    code, report, _ = run_cli(capsys, "demo", "counitary", "--seed", "3")
+    assert code == 0
+    assert report["artifacts"]["seed"] == 3
+
+
+@pytest.mark.parametrize("missing", ["libraries", "setters"])
+def test_main_runs_when_no_openblas_setter_is_found(blas_policy, capsys,
+                                                    monkeypatch, missing):
+    if missing == "libraries":
+        monkeypatch.setattr(cli, "_openblas_libraries", lambda: [])
+    else:
+        monkeypatch.setattr(cli, "_OPENBLAS_SETTERS", ("no_such_setter",))
+    code, report, _ = run_cli(capsys, "demo", "counitary")
+    assert code == 0
+    assert report["status"] == "pass"
+    assert cli._one_blas_thread() == ()

@@ -20,6 +20,8 @@ from qreduce.quat import E1, E2, Quaternion, UNIT_E1
 def test_hamiltonian_requires_antiselfadjoint():
     with pytest.raises(StructureError):
         Hamiltonian(QMatrix.identity(2))
+    with pytest.raises(StructureError):
+        Hamiltonian(QMatrix.identity(2) * 1e200)
 
 
 def test_evolve_zero_hamiltonian():

@@ -273,6 +273,9 @@ def test_restrict_requires_commutation():
     space = split_plus_minus(j, UNIT_E1)
     with pytest.raises(DoesNotCommute):
         restrict_to_plus(sampling.qmatrix(rng, n), space)
+    # the squared entries overflow at this scale; the guard fires anyway
+    with pytest.raises(DoesNotCommute):
+        restrict_to_plus(sampling.qmatrix(rng, n) * 1e200, space)
 
 
 def test_complex_op_roundtrip_through_quaternions():

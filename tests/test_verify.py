@@ -29,6 +29,25 @@ def test_per_dim_count_sets_trials_per_dimension():
     assert counts == Check("c_n2", 2.0, 0.0)
 
 
+def test_nan_residual_in_a_later_trial_fails_its_check(monkeypatch):
+    """A property's worst case keeps a NaN from any trial, not only from
+    the first one, where a fold over Python's max would drop it."""
+    real = verify.sphere_representative
+    calls = []
+
+    def nan_in_second_trial(q, unit):
+        calls.append(q)
+        rep = real(q, unit)
+        return rep * math.nan if len(calls) == 3 else rep
+
+    monkeypatch.setattr(verify, "sphere_representative", nan_in_second_trial)
+    checks = {check.name: check for check in verify.prop_quat_invariants(
+        np.random.SeedSequence(0), (2,), 10)}
+    assert math.isnan(checks["quat_sphere_invariance"].residual)
+    assert not checks["quat_sphere_invariance"].passed
+    assert checks["quat_split_roundtrip"].passed
+
+
 def test_per_dim_nan_residual_fails():
     def trial(rng, n, index):
         return [Check("r", math.nan if index == 1 else 0.0, 1.0)]
