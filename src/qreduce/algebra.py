@@ -50,7 +50,6 @@ from .qlinalg import (
     commutator_residual,
     complex_matrix_to_json,
     outer,
-    relative_residual,
     spectral_projections,
 )
 from .quat import QTENSOR, ImaginaryUnit, conj4, matmul4
@@ -496,9 +495,14 @@ class ReductionReport:
 def _projection_samples(algebra: StarAlgebra) -> list[QMatrix]:
     samples = [QMatrix.identity(algebra.n)]
     for g in algebra.generators[1:]:
-        if relative_residual(lambda x: (x + x.H) * 0.5, g) <= 1e-12:
+        # the projections of g are those of its exactly scaled copy, on
+        # which the tests below are relative to the size of g at any scale;
+        # a generator with no selfadjoint part adds none
+        sym = QMatrix(binary_scaled(g.data))
+        sym = (sym + sym.H) * 0.5
+        if sym.frob() <= 1e-12:
             continue
-        for _, proj in spectral_projections((g + g.H) * 0.5):
+        for _, proj in spectral_projections(sym):
             samples.append(proj)
     return samples
 

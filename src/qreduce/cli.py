@@ -15,8 +15,9 @@ thresholds (commutant rank, irreducibility) are fixed.
 
 `main` runs BLAS at one thread, because thread start-up and
 synchronisation cost more than they save on the n <= 8 problems here,
-unless the user has set a BLAS thread variable such as
-OPENBLAS_NUM_THREADS; importing the package leaves BLAS as it is.
+unless the user has set a thread variable that OpenBLAS reads
+(OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS); importing
+the package leaves BLAS as it is.
 """
 from __future__ import annotations
 
@@ -435,10 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Variables by which a user sets the thread count of a BLAS library.
+# Variables that OpenBLAS reads for its thread count; a user who sets one
+# has chosen the count, so the CLI leaves it.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                          "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                          "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+                          "OMP_NUM_THREADS")
 # dlopen flag that finds a library only if it is loaded already; Windows
 # has none, and there a loaded DLL is found by its path anyway.
 _NOLOAD = getattr(os, "RTLD_NOLOAD", 0)
@@ -468,8 +469,8 @@ def _one_blas_thread() -> tuple[ctypes.CDLL, ...]:
     return the copies set.  numpy and scipy each load their own copy, and
     both are loaded by the time `main` runs, too late for a thread
     variable to act, so each is set through its runtime setter.  Nothing
-    is set when the user has set a BLAS thread variable, or when no setter
-    is found."""
+    is set when the user has set a thread variable that OpenBLAS reads, or
+    when no setter is found."""
     if any(os.environ.get(name) for name in _BLAS_THREAD_VARIABLES):
         return ()
     pinned = []

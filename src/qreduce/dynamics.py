@@ -81,7 +81,7 @@ def transition_probs(v: QVector, u: QVector,
     statistics coincide there.
     """
     for w in (v, u):
-        if abs(w.norm() - 1.0) > 1e-10:
+        if not abs(w.norm() - 1.0) <= 1e-10:
             raise NormalizationError(f"vector has norm {w.norm()!r}")
     q = inner(v, u)
     z1, z2 = symplectic_split(q, frame)
@@ -126,7 +126,7 @@ def counitary_demo(hq: Quaternion, u_list: list[QMatrix], trials: int = 8,
     phi(<v, u>); the candidates it induces are the U themselves, compared
     pairwise in operator norm, both raw and modulo the central sign.
     """
-    if abs(abs(hq) - 1.0) > 1e-10:
+    if not abs(abs(hq) - 1.0) <= 1e-10:
         raise NormalizationError("automorphism phase must be a unit quaternion")
     for u in u_list:
         if not is_unitary(u):

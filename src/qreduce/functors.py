@@ -26,7 +26,7 @@ from .errors import (
     InternalInconsistency,
     StructureError,
 )
-from .qlinalg import QMatrix, QVector, commutator_residual
+from .qlinalg import QMatrix, QVector, commutator_residual, relative_residual
 from .quat import (
     Frame,
     ImaginaryUnit,
@@ -40,6 +40,7 @@ from .quat import (
     symplectic_split,
     to_frame,
 )
+from .report import max_residual
 
 DEFAULT_TOL = 1e-10
 RANK_TOL = 1e-10
@@ -49,8 +50,8 @@ def _check_anti_unitary(j: QMatrix, what: str = "J") -> None:
     ident = QMatrix.identity(j.n)
     anti = (j + j.H).frob()
     gram = (j.H @ j - ident).frob()
-    if (anti > DEFAULT_TOL * max(1.0, j.frob())
-            or gram > DEFAULT_TOL * max(1.0, j.frob() ** 2)):
+    if (not anti <= DEFAULT_TOL * max(1.0, j.frob())
+            or not gram <= DEFAULT_TOL * max(1.0, j.frob() ** 2)):
         raise StructureError(
             f"{what} must be unitary and anti-selfadjoint "
             f"(residuals {anti:.2e}, {gram:.2e})")
@@ -160,7 +161,7 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
     basis = symplectic_join(q[:n, :n], q[n:, :n].conj(), frame)
     defect = matmul4(j.data, basis) - mul4(basis, iq)
     worst = float(np.linalg.norm(defect, axis=(0, 2)).max())
-    if worst > 1e-9:
+    if not worst <= 1e-9:
         raise InternalInconsistency(
             f"plus-basis defect {worst:.2e}; J is too far from the required "
             "structure")
@@ -243,13 +244,14 @@ def internal_complexify(reals: list[np.ndarray],
     n = j.shape[0]
     if n % 2:
         raise DimensionError("internal complexification needs even dimension")
-    if (np.linalg.norm(j + j.T) > DEFAULT_TOL * max(1.0, np.linalg.norm(j))
-            or np.linalg.norm(j @ j.T - np.eye(n)) > DEFAULT_TOL * n):
+    scale = max(1.0, np.linalg.norm(j))
+    if (not np.linalg.norm(j + j.T) <= DEFAULT_TOL * scale
+            or not np.linalg.norm(j @ j.T - np.eye(n)) <= DEFAULT_TOL * n):
         raise StructureError("J must be orthogonal and antisymmetric")
     mats = [np.asarray(t, dtype=float) for t in reals]
     for t in mats:
-        res = np.linalg.norm(t @ j - j @ t)
-        if res > DEFAULT_TOL * max(1.0, np.linalg.norm(t)):
+        res = relative_residual(lambda x: x @ j - j @ x, t)
+        if not res <= DEFAULT_TOL:
             raise DoesNotCommute(res)
     basis = _orthonormal_tuples(n, [j])
     out = [basis.T @ t @ basis - 1j * (basis.T @ j @ t @ basis) for t in mats]
@@ -300,16 +302,16 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
             "internal quaternionification needs dimension divisible by 4")
     for name, op in (("I", i_op), ("J", j_op)):
         scale = max(1.0, np.linalg.norm(op))
-        if (np.linalg.norm(op + op.T) > DEFAULT_TOL * scale
-                or np.linalg.norm(op @ op.T - np.eye(n)) > DEFAULT_TOL * n):
+        if (not np.linalg.norm(op + op.T) <= DEFAULT_TOL * scale
+                or not np.linalg.norm(op @ op.T - np.eye(n)) <= DEFAULT_TOL * n):
             raise StructureError(f"{name} must be orthogonal and antisymmetric")
-    if np.linalg.norm(i_op @ j_op + j_op @ i_op) > DEFAULT_TOL * n:
+    if not np.linalg.norm(i_op @ j_op + j_op @ i_op) <= DEFAULT_TOL * n:
         raise StructureError("I and J must anticommute")
     mats = [np.asarray(t, dtype=float) for t in reals]
     for t in mats:
         for op in (i_op, j_op):
-            res = np.linalg.norm(t @ op - op @ t)
-            if res > DEFAULT_TOL * max(1.0, np.linalg.norm(t)):
+            res = relative_residual(lambda x: x @ op - op @ x, t)
+            if not res <= DEFAULT_TOL:
                 raise DoesNotCommute(res)
     ji = j_op @ i_op
     basis = _orthonormal_tuples(n, [i_op, j_op, ji])
@@ -368,7 +370,7 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
     _check_anti_unitary(j_op, "J")
     n = i_op.n
     anti = (i_op @ j_op + j_op @ i_op).frob()
-    if anti > DEFAULT_TOL * max(1.0, i_op.frob() * j_op.frob()):
+    if not anti <= DEFAULT_TOL * max(1.0, i_op.frob() * j_op.frob()):
         raise StructureError(f"I and J must anticommute (residual {anti:.2e})")
 
     iq, jq, kq = (u.as_quaternion().as_array()
@@ -394,9 +396,9 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
     left = LeftMultiplication(QMatrix(cols), frame)
 
     m_i, m_j, m_k = left.unit_mats()
-    worst = max((m_i - i_op).frob(), (m_j - j_op).frob(),
-                (m_k - i_op @ j_op).frob())
-    if worst > 1e-9 * max(1.0, i_op.frob()):
+    worst = max_residual((m_i - i_op).frob(), (m_j - j_op).frob(),
+                         (m_k - i_op @ j_op).frob())
+    if not worst <= 1e-9 * max(1.0, i_op.frob()):
         raise InternalInconsistency(
             f"left multiplication defect {worst:.2e}")
     return left

@@ -247,18 +247,30 @@ def binary_scaled(data: np.ndarray) -> np.ndarray:
     return np.ldexp(data, -np.frexp(peak)[1])
 
 
-def relative_residual(residual, t: QMatrix) -> float:
-    """|residual(t)| / max(1, |t|) for a map `residual` linear in t.
+def relative_residual(residual, t):
+    """|residual(t)| / max(1, |t|) for a map `residual` linear in t (or
+    the norm of such a map), t a QMatrix or a real or complex matrix,
+    with Frobenius norms.
 
     An entry of t of modulus 1 or more makes |t| >= 1, and the quotient is
-    then taken for the binary-scaled t: the scaling is exact and cancels,
-    and neither norm overflows however large t is.  A guard
+    then taken for t scaled by the power of two that puts its largest
+    entry in [1/2, 1) (as in binary_scaled): the scaling is exact and
+    cancels, and neither norm overflows however large t is.  A guard
     `not relative_residual(...) <= tol` therefore fires at every scale,
     and on a NaN too."""
-    if np.abs(t.data).max() < 1.0:
-        return residual(t).frob() / max(1.0, t.frob())
-    scaled = QMatrix(binary_scaled(t.data))
-    return residual(scaled).frob() / scaled.frob()
+    quaternionic = isinstance(t, QMatrix)
+    data = t.data if quaternionic else np.asarray(t)
+    peak = np.abs(data).max()
+    if peak < 1.0:
+        return _frob(residual(t)) / max(1.0, _frob(t))
+    scaled = data * np.ldexp(1.0, -np.frexp(peak)[1])
+    if quaternionic:
+        scaled = QMatrix(scaled)
+    return _frob(residual(scaled)) / _frob(scaled)
+
+
+def _frob(t) -> float:
+    return float(np.linalg.norm(t.data if isinstance(t, QMatrix) else t))
 
 
 def commutator_residual(op: QMatrix, t: QMatrix) -> float:
@@ -297,13 +309,12 @@ def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
     """Left inverse of :func:`complex_embed`.
 
     Raises NotInImage when the block symmetry is violated beyond
-    tol * scale; the symmetric part of the blocks is used for the
+    tol * max(1, |mat|), at any scale of mat; the symmetric part of the blocks is used for the
     reconstruction, so roundoff-level violations are averaged away.
     """
     mat = np.asarray(mat, dtype=complex)
-    residual = block_symmetry_residual(mat)
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    if residual > tol * scale:
+    residual = relative_residual(block_symmetry_residual, mat)
+    if not residual <= tol:
         raise NotInImage(residual)
     n = mat.shape[0] // 2
     t1 = 0.5 * (mat[:n, :n] + mat[n:, n:].conj())
@@ -439,11 +450,10 @@ def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME
     as right multiplication by frame.i on a deterministic orthonormal
     kernel basis, which keeps J unitary with J^2 = -I.
     """
-    scale = max(1.0, a.frob())
-    anti_res = (a + a.H).frob()
-    if anti_res > DEFAULT_TOL * scale:
+    anti_res = relative_residual(lambda x: x + x.H, a)
+    if not anti_res <= DEFAULT_TOL:
         raise NotAntiSelfAdjoint(
-            f"residual {anti_res:.3e} exceeds {DEFAULT_TOL:.1e} * scale")
+            f"relative residual {anti_res:.3e} exceeds {DEFAULT_TOL:.1e}")
     chi = complex_embed(a, frame)
     herm = (chi - chi.conj().T) / 2j          # hermitian part of chi/i
     vals, vecs = np.linalg.eigh(herm)

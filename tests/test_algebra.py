@@ -24,6 +24,7 @@ from qreduce.algebra import (
     _commutator_constraint,
     _from_adjoint_coordinates,
     _nullspace_rows,
+    _projection_samples,
     bicommutant,
     center,
     classify_irreducible,
@@ -665,6 +666,22 @@ def test_verdicts_invariant_under_generator_scaling(n):
             verdict = (commutant(scaled).dim_r, is_irreducible(scaled),
                        classify_irreducible(scaled).kind)
             assert verdict == expected, (c, verdict, expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projection_samples_invariant_under_generator_scaling():
+    """reduce_system samples the spectral projections of the generators'
+    selfadjoint parts, and they are those of G at every scale c, not the
+    identity alone where the parts are small or their norms overflow."""
+    rng = np.random.default_rng(57)
+    gens, _ = sampling.plant_complex_induced(rng, 3)
+    expected = _projection_samples(StarAlgebra(gens))
+    assert len(expected) > 1
+    for c in (1e-200, 1e-13, 1e200):
+        got = _projection_samples(StarAlgebra([g * c for g in gens]))
+        assert len(got) == len(expected), c
+        for p, q in zip(got, expected):
+            assert (p - q).frob() <= 1e-9, c
 
 
 def test_algebra_draws_random_numbers_only_in_reduce_system():

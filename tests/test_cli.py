@@ -476,7 +476,15 @@ def _openblas_function(lib, verb):
     return getattr(lib, name.replace("_set_", f"_{verb}_"))
 
 
-def test_main_runs_every_openblas_copy_at_one_thread(blas_policy, capsys):
+@pytest.mark.parametrize("other_variable", [None, "MKL_NUM_THREADS",
+                                            "BLIS_NUM_THREADS"])
+def test_main_runs_every_openblas_copy_at_one_thread(blas_policy, capsys,
+                                                     monkeypatch,
+                                                     other_variable):
+    """Variables of other BLAS libraries, which OpenBLAS does not read,
+    leave the policy on."""
+    if other_variable:
+        monkeypatch.setenv(other_variable, "1")
     for lib in cli._openblas_libraries():
         _openblas_function(lib, "set")(2)
     assert main(["demo", "counitary"]) == 0
@@ -486,14 +494,18 @@ def test_main_runs_every_openblas_copy_at_one_thread(blas_policy, capsys):
 
 
 def test_user_blas_thread_variable_is_honoured():
-    """With OPENBLAS_NUM_THREADS set, main leaves numpy's copy at it."""
+    """With OPENBLAS_NUM_THREADS set, main leaves numpy's copy as it was.
+    OpenBLAS may lower the count it read to the CPUs it can use, so the
+    count is compared before and after, not with the variable."""
     script = "\n".join([
         "import contextlib, io",
         "from qreduce import cli",
+        "numpy_copy = cli._openblas_libraries()[0]",
+        "before = numpy_copy.scipy_openblas_get_num_threads64_()",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = cli.main(['demo', 'counitary'])",
-        "numpy_copy = cli._openblas_libraries()[0]",
-        "print(code, numpy_copy.scipy_openblas_get_num_threads64_())",
+        "print(code, before, numpy_copy.scipy_openblas_get_num_threads64_(),",
+        "      cli._one_blas_thread() == ())",
     ])
     src = str(Path(qreduce.__file__).parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
@@ -501,7 +513,9 @@ def test_user_blas_thread_variable_is_honoured():
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "2"]
+    code, before, after, left_alone = out.split()
+    assert (code, left_alone) == ("0", "True")
+    assert after == before
 
 
 def test_blas_libraries_looked_up_once_per_process(blas_policy, capsys,

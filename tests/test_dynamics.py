@@ -94,6 +94,8 @@ def test_transition_probs_identities():
 
     with pytest.raises(NormalizationError):
         transition_probs(v * 2.0, v)
+    with pytest.raises(NormalizationError):
+        transition_probs(v * np.nan, v)
 
 
 def test_transition_probs_agree_on_plus_space():
@@ -141,5 +143,7 @@ def test_counitary_guards():
     rng = np.random.default_rng(15)
     with pytest.raises(NormalizationError):
         counitary_demo(Quaternion(2.0), [QMatrix.identity(2)])
+    with pytest.raises(NormalizationError):
+        counitary_demo(Quaternion(np.nan), [QMatrix.identity(2)])
     with pytest.raises(StructureError):
         counitary_demo(sampling.unit_quaternion(rng), [sampling.qmatrix(rng, 2)])

@@ -355,6 +355,15 @@ def test_internal_complexify_errors():
     j = np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(DoesNotCommute):
         internal_complexify([np.diag([1.0, 2.0, 3.0, 4.0])], j)
+    # the guard compares a relative residual of the binary-scaled operator,
+    # so it still fires where |[T, J]| and |T| would both overflow, and on
+    # a NaN
+    with pytest.raises(DoesNotCommute):
+        internal_complexify([1e200 * np.diag([1.0, 2.0, 3.0, 4.0])], j)
+    with pytest.raises(DoesNotCommute):
+        internal_complexify([np.full((4, 4), np.nan)], j)
+    with pytest.raises(StructureError):
+        internal_complexify([], np.full((4, 4), np.nan))
 
 
 def left_mult_matrices():
@@ -422,6 +431,10 @@ def test_internal_quaternionify_errors():
         internal_quaternionify([], i_op, i_op)
     with pytest.raises(DoesNotCommute):
         internal_quaternionify([np.diag([1.0, 2, 3, 4])], i_op, j_op)
+    with pytest.raises(DoesNotCommute):
+        internal_quaternionify([1e200 * np.diag([1.0, 2, 3, 4])], i_op, j_op)
+    with pytest.raises(StructureError):
+        internal_quaternionify([], np.full((4, 4), np.nan), j_op)
 
 
 
@@ -467,3 +480,6 @@ def test_left_mult_structure_errors():
         real_subspace_and_left_mult(QMatrix.identity(2), QMatrix.diag([E2, E2]))
     with pytest.raises(StructureError):
         real_subspace_and_left_mult(QMatrix.diag([E1, E1]), QMatrix.diag([E1, E1]))
+    with pytest.raises(StructureError):                    # NaN operator
+        real_subspace_and_left_mult(
+            QMatrix(np.full((2, 2, 4), np.nan)), QMatrix.diag([E2, E2]))

@@ -180,6 +180,15 @@ def test_unembed_roundtrip_and_rejection():
         np.testing.assert_allclose(back.data, t.data, atol=1e-12)
     with pytest.raises(NotInImage):
         complex_unembed(np.array([[1, 0], [0, 2]], dtype=complex))
+    # the residual is relative and taken on the exactly scaled matrix, so
+    # the test holds where squared entries overflow, and a NaN fails it
+    t = sampling.qmatrix(rng, 2) * 1e200
+    back = complex_unembed(complex_embed(t))
+    np.testing.assert_allclose(back.data, t.data, rtol=1e-12)
+    with pytest.raises(NotInImage):
+        complex_unembed(np.array([[1, 0], [0, 2]], dtype=complex) * 1e200)
+    with pytest.raises(NotInImage):
+        complex_unembed(np.full((2, 2), np.nan, dtype=complex))
     assert block_symmetry_residual(np.eye(4, dtype=complex)) == 0.0
 
 
@@ -296,6 +305,10 @@ def test_polar_invertible_reproduces_input():
 def test_polar_rejects_non_antiselfadjoint():
     with pytest.raises(NotAntiSelfAdjoint):
         polar_antiselfadjoint(QMatrix.identity(2))
+    with pytest.raises(NotAntiSelfAdjoint):           # |A| overflows
+        polar_antiselfadjoint(QMatrix.identity(2) * 1e200)
+    with pytest.raises(NotAntiSelfAdjoint):
+        polar_antiselfadjoint(QMatrix(np.full((2, 2, 4), np.nan)))
 
 
 def test_gram_schmidt_h():
