@@ -15,11 +15,10 @@ decides them.  The cutoff is relative to the largest singular value over
 both blocks, which is that of the whole constraint, so every direction
 is decided by the rule an SVD of the whole constraint would apply.
 The bicommutant and the center are commutants too.  Irreducibility and
-the R/C/H trichotomy are read off one split of the commutant into its
-traceless selfadjoint and skew parts: the commutant of a *-closed
-generator set is a *-algebra that contains I, so projecting its
-orthonormal basis onto either part has singular values exactly 0 or 1 at
-every scale, and a cut at 1/2 is scale-free with a margin of about 1/2.
+the R/C/H trichotomy are read off the nullspace dimensions of the two
+blocks, so the nullspace rule is the only decision behind them: the
+algebra is irreducible iff the selfadjoint part of its commutant is R I,
+and the kind is the dimension of the skew part (0, 1 or 3).
 The reduction of complex-induced systems is layered on top.
 """
 from __future__ import annotations
@@ -66,9 +65,12 @@ def vec(t: QMatrix) -> np.ndarray:
 @dataclass(frozen=True)
 class CommutantBasis:
     """Orthonormal real basis (under the trace form) of a subspace of the
-    n x n quaternionic matrices, held as the rows of one array."""
+    n x n quaternionic matrices, held as the rows of one array.  A
+    commutant records how many of its rows, the first ones, are
+    selfadjoint; the rest are skew."""
 
     mat: np.ndarray            # dim_r x 4n^2, orthonormal rows
+    selfadjoint: int | None = None
 
     @property
     def dim_r(self) -> int:
@@ -235,9 +237,9 @@ def _commutant_of(mats: np.ndarray) -> CommutantBasis:
     mats = binary_scaled(mats)
     norms = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
     unit = mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
-    return CommutantBasis(_from_adjoint_coordinates(
-        _nullspace_rows(_commutator_constraint(unit), SV_CUTOFF, 1.0),
-        mats.shape[1]))
+    parts = _nullspace_rows(_commutator_constraint(unit), SV_CUTOFF, 1.0)
+    return CommutantBasis(_from_adjoint_coordinates(parts, mats.shape[1]),
+                          selfadjoint=len(parts[0]))
 
 
 class StarAlgebra:
@@ -346,50 +348,34 @@ def subspace_gap(a: CommutantBasis, b: CommutantBasis) -> float:
 # irreducibility and classification
 
 
-def _commutant_split(algebra: StarAlgebra
-                     ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(orthonormal rows, singular values) of the projection of the
-    commutant basis onto the traceless selfadjoint matrices, then onto the
-    skew ones.  The adjoint is an isometry of the trace form that maps the
-    commutant, which contains I, to itself, so each projection restricts an
-    orthogonal one: its singular values are 0 or 1, and the rows kept are
-    those above 1/2."""
-    stack = algebra.commutant_basis().stack
-    adj = conj4(np.swapaxes(stack, 1, 2))
-    identity = vec(QMatrix.identity(algebra.n)) / math.sqrt(algebra.n)
-    sym = 0.5 * (stack + adj).reshape(len(stack), -1)
-    sym -= np.outer(sym @ identity, identity)
-    skew = 0.5 * (stack - adj).reshape(len(stack), -1)
-    parts = []
-    for part in (sym, skew):
-        _, svals, vh = np.linalg.svd(part, full_matrices=False)
-        parts.append((vh[svals > 0.5], svals))
-    return tuple(parts)
-
-
 def is_irreducible(algebra: StarAlgebra) -> bool:
     """True iff every projection in the commutant is trivial.
 
     A nontrivial commutant projection is selfadjoint and not scalar, and a
     nonscalar selfadjoint commutant element has nontrivial spectral
     projections, which lie in the commutant.  So the algebra is irreducible
-    iff the traceless selfadjoint part of the commutant is empty, a rank
-    that :func:`_commutant_split` decides at the scale-free cut 1/2.
+    iff the selfadjoint part of the commutant is R I, a dimension that the
+    nullspace rule of the commutant decides.
     """
-    (sym, _), _ = _commutant_split(algebra)
-    return len(sym) == 0
+    return algebra.commutant_basis().selfadjoint == 1
 
 
 def reducibility_witness(algebra: StarAlgebra) -> QMatrix | None:
     """A nontrivial commutant projection: a spectral projection of the
-    first traceless selfadjoint row of the split; None for an irreducible
-    algebra.  That row is traceless with unit norm, so it has at least two
-    eigenspheres and its first projection is neither 0 nor I."""
-    (sym, _), _ = _commutant_split(algebra)
-    if len(sym) == 0:
+    selfadjoint commutant row farthest from the line of I; None for an
+    irreducible algebra.  The selfadjoint rows are orthonormal and span I,
+    so with s of them the squared norms of their traceless parts sum to
+    s - 1, and the chosen row's is at least (s - 1) / s.  A nonscalar
+    selfadjoint row has at least two eigenspheres, so its first projection
+    is neither 0 nor I."""
+    if is_irreducible(algebra):
         return None
+    comm = algebra.commutant_basis()
     n = algebra.n
-    return spectral_projections(QMatrix(sym[0].reshape(n, n, 4)))[0][1]
+    sym = comm.mat[:comm.selfadjoint]
+    identity = vec(QMatrix.identity(n)) / math.sqrt(n)
+    row = sym[np.argmin(np.abs(sym @ identity))]
+    return spectral_projections(QMatrix(row.reshape(n, n, 4)))[0][1]
 
 
 def _fix_sign(j: QMatrix) -> QMatrix:
@@ -426,17 +412,18 @@ _KINDS = {0: "ProperQuaternionic", 1: "ComplexInduced", 3: "RealInduced"}
 def classify_irreducible(algebra: StarAlgebra) -> Classification:
     """Kind from the dimension of the commutant's skew part: 0, 1 or 3.
 
-    The commutant of an irreducible algebra is R, C or H, with no traceless
-    selfadjoint part; both ranks come from the scale-free split of
-    :func:`_commutant_split`.  An anti-selfadjoint unitary has trace-form
-    norm sqrt(n), so J is sqrt(n) times the one skew row; for H two skew
-    rows give the anticommuting I and J, and K = I J.  Any other rank, or a
-    recovered unit that fails U^2 = -I or anticommutation, raises.
+    The commutant of an irreducible algebra is R, C or H: R I plus the
+    skew rows of the commutant basis.  An anti-selfadjoint unitary has
+    trace-form norm sqrt(n), so J is sqrt(n) times the one skew row; for H
+    two orthonormal skew rows give the anticommuting I and J, and K = I J.
+    Any other dimension, or a recovered unit that fails U^2 = -I or
+    anticommutation, raises.
     """
-    (sym, _), (skew, _) = _commutant_split(algebra)
-    if len(sym):
+    if not is_irreducible(algebra):
         raise StructureError("algebra is reducible; classification needs "
                              "an irreducible input")
+    comm = algebra.commutant_basis()
+    skew = comm.mat[comm.selfadjoint:]
     kind = _KINDS.get(len(skew))
     if kind is None:
         raise InternalInconsistency(
@@ -454,12 +441,11 @@ def classify_irreducible(algebra: StarAlgebra) -> Classification:
         raise InternalInconsistency(
             f"recovered units fail U^2 = -I or anticommutation "
             f"(residual {residual:.2e})")
-    dim = algebra.commutant_basis().dim_r
     if len(units) == 2:
         i_unit, j_unit = units
-        return Classification(kind, dim, J=j_unit, I=i_unit,
+        return Classification(kind, comm.dim_r, J=j_unit, I=i_unit,
                               K=i_unit @ j_unit)
-    return Classification(kind, dim, J=units[0] if units else None)
+    return Classification(kind, comm.dim_r, J=units[0] if units else None)
 
 
 # ---------------------------------------------------------------------------

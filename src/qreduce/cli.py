@@ -49,6 +49,7 @@ from .functors import split_plus_minus
 from .qlinalg import (
     QMatrix,
     QVector,
+    binary_scaled,
     commutator_residual,
     expm_antiselfadjoint,
 )
@@ -269,12 +270,20 @@ def cmd_classify(args) -> int:
 
 
 def _default_evolution(algebra: StarAlgebra) -> list[QMatrix]:
-    skew = QMatrix.zeros(algebra.n)
+    """exp(-t S) at t = 0.5 and 1, for S the unit-norm skew part of the
+    generator whose skew part is largest relative to the generator.  S
+    lies in the algebra, so the flow commutes with its commutant.  (A sum
+    over the *-closed generator list would cancel: g and g* have opposite
+    skew parts.)  A skew part below 1e-6 of its generator has a direction
+    that rounding blurs past the commutation guard of reduce_system, so
+    with none above that the flow is the identity."""
+    skew, best = QMatrix.zeros(algebra.n), 1e-6
     for g in algebra.generators[1:]:
-        skew = skew + (g - g.H) * 0.5
-    nrm = skew.frob()
-    if nrm > 1e-12:
-        skew = skew * (1.0 / nrm)
+        s = QMatrix(binary_scaled(g.data))
+        part = (s - s.H) * 0.5
+        size = part.frob()
+        if size > best * s.frob():
+            skew, best = part * (1.0 / size), size / s.frob()
     return [expm_antiselfadjoint(skew * float(-t)) for t in (0.5, 1.0)]
 
 

@@ -20,7 +20,6 @@ from qreduce.algebra import (
     StarAlgebra,
     _adjoint_coordinates,
     _commutant_of,
-    _commutant_split,
     _commutator_constraint,
     _from_adjoint_coordinates,
     _nullspace_rows,
@@ -299,6 +298,7 @@ def test_commutant_rows_are_selfadjoint_or_skew():
                                       axis=1) <= 1e-14
                 assert np.all(sym | skew)
                 assert list(sym) == sorted(sym, reverse=True), "skew last"
+                assert basis.selfadjoint == np.sum(sym)
 
 
 def test_commutant_of_is_commutant_of_star_closure():
@@ -577,22 +577,76 @@ def coupled_sweep() -> list[list[QMatrix]]:
     return sweep
 
 
+def assert_invariant_projection(p: QMatrix, algebra: StarAlgebra):
+    """p is a nontrivial orthogonal projection that commutes with every
+    generator: P^2 = P, P = P*, 0 < tr P < n and [P, G] small relative to
+    G."""
+    assert (p @ p - p).frob() <= 1e-9
+    assert (p - p.H).frob() <= 1e-9
+    assert 0.5 < p.trace().w < algebra.n - 0.5
+    for g in algebra.generators:
+        assert (p @ g - g @ p).frob() <= 1e-8 * g.frob()
+
+
 def test_witness_exists_iff_reducible():
-    """The verdict and the witness come from one split of the commutant:
-    planted cases and the coupled sweep."""
+    """The verdict and the witness come from one commutant: planted cases
+    and the coupled sweep.  Every witness is a nontrivial invariant
+    projection."""
     algebras = [algebra for algebra, _ in irreducibility_cases()]
     algebras += [StarAlgebra(gens) for gens in coupled_sweep()]
     verdicts = set()
     for algebra in algebras:
         irreducible = is_irreducible(algebra)
         verdicts.add(irreducible)
-        assert (reducibility_witness(algebra) is None) is irreducible
+        witness = reducibility_witness(algebra)
+        assert (witness is None) is irreducible
+        if witness is not None:
+            assert_invariant_projection(witness, algebra)
     assert verdicts == {True, False}
 
 
+def test_witness_ignores_a_selfadjoint_row_on_the_identity():
+    """The selfadjoint rows may be any orthonormal basis of their span,
+    one of them I / sqrt(n) itself, whose only spectral projection is I:
+    the witness is taken from the row farthest from I."""
+    rng = np.random.default_rng(10)
+    for half in (1, 2, 3):
+        algebra = block_diagonal_algebra(rng, half)
+        comm = commutant(algebra)
+        sym = comm.mat[:comm.selfadjoint]
+        identity = vec(QMatrix.identity(algebra.n)) / np.sqrt(algebra.n)
+        coords = np.column_stack([sym @ identity, rng.standard_normal(
+            (len(sym), len(sym) - 1))])
+        rotation, _ = np.linalg.qr(coords)
+        rotated = rotation.T @ sym
+        assert np.linalg.norm(np.abs(rotated[0] @ identity) - 1.0) <= 1e-12
+        algebra._commutant = CommutantBasis(
+            np.concatenate([rotated, comm.mat[comm.selfadjoint:]]),
+            selfadjoint=comm.selfadjoint)
+        assert_invariant_projection(reducibility_witness(algebra), algebra)
+
+
+def svd_split_ranks(algebra: StarAlgebra) -> tuple[int, int]:
+    """Reference rule: (traceless selfadjoint, skew) ranks of the
+    commutant from SVDs of the projections of its orthonormal basis onto
+    the traceless selfadjoint and onto the skew matrices, cut at 1/2.  The
+    commutant is a *-algebra that contains I, so both projections restrict
+    orthogonal ones and their singular values are 0 or 1."""
+    stack = algebra.commutant_basis().stack
+    adj = conj4(np.swapaxes(stack, 1, 2))
+    identity = vec(QMatrix.identity(algebra.n)) / np.sqrt(algebra.n)
+    sym = 0.5 * (stack + adj).reshape(len(stack), -1)
+    sym -= np.outer(sym @ identity, identity)
+    skew = 0.5 * (stack - adj).reshape(len(stack), -1)
+    return tuple(int(np.sum(np.linalg.svd(part, compute_uv=False) > 0.5))
+                 for part in (sym, skew))
+
+
 def split_ranks(algebra: StarAlgebra) -> tuple[int, int]:
-    (sym, _), (skew, _) = _commutant_split(algebra)
-    return len(sym), len(skew)
+    """(traceless selfadjoint, skew) dimensions of the commutant, read off
+    its selfadjoint-first rows."""
+    comm = commutant(algebra)
+    return comm.selfadjoint - 1, comm.dim_r - comm.selfadjoint
 
 
 def direct_sum(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -624,14 +678,21 @@ def test_split_ranks_on_planted_direct_sums(n):
 
 
 @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
-def test_split_singular_values_are_zero_or_one(c):
-    """The commutant is a *-algebra containing I, so both projections of
-    its orthonormal basis have singular values 0 or 1 at every scale, far
-    from the cut at 1/2."""
+def test_adjoint_split_matches_svd_rule(c):
+    """At every scale the commutant's selfadjoint-first rows give the
+    split ranks of the SVD reference rule, each row is exactly selfadjoint
+    or exactly skew, and I lies in the span of the selfadjoint rows."""
     for gens in coupled_sweep():
-        parts = _commutant_split(StarAlgebra([g * c for g in gens]))
-        svals = np.concatenate([svals for _, svals in parts])
-        assert np.minimum(svals, np.abs(svals - 1.0)).max() <= 1e-9
+        algebra = StarAlgebra([g * c for g in gens])
+        comm = commutant(algebra)
+        assert svd_split_ranks(algebra) == split_ranks(algebra)
+        adj = conj4(np.swapaxes(comm.stack, 1, 2))
+        sym = comm.selfadjoint
+        assert np.array_equal(comm.stack[:sym], adj[:sym])
+        assert np.array_equal(comm.stack[sym:], -adj[sym:])
+        identity = vec(QMatrix.identity(algebra.n)) / np.sqrt(algebra.n)
+        rows = comm.mat[:sym]
+        assert np.linalg.norm(identity - (rows @ identity) @ rows) <= 1e-10
 
 
 def test_generator_list_is_star_closed_at_any_scale():
@@ -704,10 +765,10 @@ def test_algebra_draws_random_numbers_only_in_reduce_system():
 
 def test_spectral_calls_only_in_decision_helpers():
     """Every rank or spectral decision of `algebra` is made in
-    _nullspace_rows, _row_span or _commutant_split, so each decision has
-    one place to report its margin from."""
+    _nullspace_rows or _row_span, so each decision has one place to report
+    its margin from."""
     tree = ast.parse(Path(algebra_module.__file__).read_text())
-    allowed = {"_nullspace_rows", "_row_span", "_commutant_split"}
+    allowed = {"_nullspace_rows", "_row_span"}
     offenders = set()
     for node in tree.body:
         if getattr(node, "name", None) in allowed:

@@ -219,6 +219,24 @@ def test_reduce_planted_file(tmp_path, capsys):
     assert arts["restricted_generators"][0]["re"]
 
 
+def test_reduce_default_evolution_is_nontrivial(tmp_path, capsys):
+    """A file without "evolution" is certified on a flow of the generators'
+    skew parts, not on the identity: the *-closed generator list holds g
+    and g*, whose skew parts cancel in a plain sum."""
+    rng = np.random.default_rng(3)
+    gens, _ = sampling.plant_complex_induced(rng, 3)
+    path = _write_algebra(tmp_path, gens)
+    code, report, _ = run_cli(capsys, "reduce", str(path))
+    assert code == 0
+    assert report["status"] == "pass"
+    assert all(c["pass"] for c in report["checks"])
+    evolution = report["artifacts"]["restricted_evolution"]
+    assert len(evolution) == 2
+    for u in evolution:
+        mat = np.array(u["re"]) + 1j * np.array(u["im"])
+        assert np.linalg.norm(mat - np.eye(3)) > 0.1
+
+
 def test_reduce_idempotent(tmp_path, capsys):
     rng = np.random.default_rng(4)
     gens, _ = sampling.plant_complex_induced(rng, 2)
