@@ -17,7 +17,8 @@ thresholds (commutant rank, irreducibility) are fixed.
 synchronisation cost more than they save on the n <= 8 problems here,
 unless the user has set a thread variable that OpenBLAS reads
 (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS); importing
-the package leaves BLAS as it is.
+the package leaves BLAS as it is.  The package needs numpy only (scipy
+is a test oracle), so numpy's OpenBLAS copy is the one that `main` sets.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, sampling
 from .algebra import (
@@ -452,34 +452,32 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 # dlopen flag that finds a library only if it is loaded already; Windows
 # has none, and there a loaded DLL is found by its path anyway.
 _NOLOAD = getattr(os, "RTLD_NOLOAD", 0)
-# Thread-count setters of the OpenBLAS builds in the numpy (64-bit
-# integer interface) and scipy wheels.
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads")
+# Thread-count setter of the OpenBLAS build in the numpy wheel (64-bit
+# integer interface).
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",)
 
 
 def _openblas_libraries() -> list[ctypes.CDLL]:
-    """The OpenBLAS copies in the library folders of the numpy and scipy
-    wheels that this process has loaded; the lookup loads none itself."""
+    """The OpenBLAS copies in the library folder of the numpy wheel that
+    this process has loaded; the lookup loads none itself."""
     found = []
-    for package in (np, scipy):
-        folder = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-        for path in sorted(folder.glob("*openblas*")):
-            try:
-                found.append(ctypes.CDLL(str(path), mode=_NOLOAD))
-            except OSError:                      # not loaded
-                pass
+    folder = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(folder.glob("*openblas*")):
+        try:
+            found.append(ctypes.CDLL(str(path), mode=_NOLOAD))
+        except OSError:                          # not loaded
+            pass
     return found
 
 
 @functools.lru_cache(maxsize=None)
 def _one_blas_thread() -> tuple[ctypes.CDLL, ...]:
     """Set every loaded OpenBLAS copy to one thread, once per process, and
-    return the copies set.  numpy and scipy each load their own copy, and
-    both are loaded by the time `main` runs, too late for a thread
-    variable to act, so each is set through its runtime setter.  Nothing
-    is set when the user has set a thread variable that OpenBLAS reads, or
-    when no setter is found."""
+    return the copies set.  numpy's copy, the only one the package loads,
+    is loaded by the time `main` runs, too late for a thread variable to
+    act, so it is set through its runtime setter.  Nothing is set when the
+    user has set a thread variable that OpenBLAS reads, or when no setter
+    is found."""
     if any(os.environ.get(name) for name in _BLAS_THREAD_VARIABLES):
         return ()
     pinned = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NormalizationError, StructureError
 from .qlinalg import (
@@ -17,6 +16,7 @@ from .qlinalg import (
     QVector,
     complex_embed,
     embed_vector,
+    expm_antihermitian,
     inner,
     is_unitary,
     operator_norm,
@@ -54,7 +54,7 @@ class Hamiltonian:
 
 def evolve(h: Hamiltonian, v: QVector, t: float) -> QVector:
     """f(t) = exp(-t H) v, computed through the complex embedding."""
-    propagator = scipy.linalg.expm(-t * complex_embed(h.mat, h.frame))
+    propagator = expm_antihermitian(-t * complex_embed(h.mat, h.frame))
     return unembed_vector(propagator @ embed_vector(v, h.frame), h.frame)
 
 

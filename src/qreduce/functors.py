@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -129,20 +128,34 @@ def plus_projector_apply(j: QMatrix, v: QVector, frame: Frame) -> QVector:
     return (v - (j @ v) * frame.i.as_quaternion()) * 0.5
 
 
+def _range_basis(cands: np.ndarray, rank: int, what: str) -> np.ndarray:
+    """The `rank` leading left singular vectors of `cands`, an orthonormal
+    basis of its range when its rank is `rank`: the number of singular
+    values above RANK_TOL times the largest.  The candidates are an
+    orthogonal projector applied to a reordered orthonormal basis, so
+    their nonzero singular values are 1; they are not Hermitian, so the
+    basis needs the SVD, not `eigh`."""
+    u, sigma, _ = np.linalg.svd(cands)
+    found = int(np.sum(sigma > RANK_TOL * max(sigma[0], 1e-300)))
+    if found != rank:
+        raise StructureError(f"{what} {found}, expected {rank}")
+    return u[:, :rank]
+
+
 def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
     """Compute an orthonormal basis of H+ for the pair (J, i).
 
     The projector P+ is applied to the 2n candidates {delta_m, delta_m*j};
-    pivoted QR over the plane of i then extracts n orthonormal columns.
-    Complex-linear combinations stay inside H+, so the result is an
-    orthonormal basis of H+ both over the plane of i and quaternionically.
+    the leading left singular vectors of the candidates over the plane of
+    i then give n orthonormal columns.  Complex-linear combinations stay
+    inside H+, so the result is an orthonormal basis of H+ both over the
+    plane of i and quaternionically.
     """
     _check_anti_unitary(j)
     n = j.n
     frame = frame_complete(i)
     iq = frame.i.as_quaternion().as_array()
-    # columns delta_0, delta_0*j, delta_1, delta_1*j, ...: the order
-    # decides which columns the pivoted QR picks
+    # columns delta_0, delta_0*j, delta_1, delta_1*j, ...
     m = np.arange(n)
     cands = np.zeros((n, 2 * n, 4))
     cands[m, 2 * m, 0] = 1.0
@@ -151,14 +164,9 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
     # coordinates (v1, conj(v2)) of v = v1 + v2*j are complex-linear for
     # the right action of the plane of i and isometric for its inner product
     v1, v2 = symplectic_split(cands, frame)
-    q, r, _ = scipy.linalg.qr(np.concatenate([v1, v2.conj()]),
-                              mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > RANK_TOL * max(diag[0], 1e-300)))
-    if rank != n:
-        raise StructureError(
-            f"plus space has complex dimension {rank}, expected {n}")
-    basis = symplectic_join(q[:n, :n], q[n:, :n].conj(), frame)
+    q = _range_basis(np.concatenate([v1, v2.conj()]), n,
+                     "plus space has complex dimension")
+    basis = symplectic_join(q[:n], q[n:].conj(), frame)
     defect = matmul4(j.data, basis) - mul4(basis, iq)
     worst = float(np.linalg.norm(defect, axis=(0, 2)).max())
     if not worst <= 1e-9:
@@ -375,9 +383,8 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
 
     iq, jq, kq = (u.as_quaternion().as_array()
                   for u in (frame.i, frame.j, frame.k))
-    # columns delta_m * u for m = 0..n-1 and u in (1, i, j, k), in that
-    # order (it decides the QR pivots), projected onto H_R by
-    # (v - (Iv) i - (Jv) j + (JIv) k) / 4
+    # columns delta_m * u for m = 0..n-1 and u in (1, i, j, k), projected
+    # onto H_R by (v - (Iv) i - (Jv) j + (JIv) k) / 4
     m = np.arange(n)
     cands = np.zeros((n, 4 * n, 4))
     for col, unit in enumerate((np.array([1.0, 0.0, 0.0, 0.0]), iq, jq, kq)):
@@ -386,13 +393,8 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
     cands = (cands - mul4(i_cands, iq) - mul4(matmul4(j_op.data, cands), jq)
              + mul4(matmul4(j_op.data, i_cands), kq)) * 0.25
     coords = np.moveaxis(cands, 1, -1).reshape(4 * n, 4 * n)
-    q, r, _ = scipy.linalg.qr(coords, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > RANK_TOL * max(diag[0], 1e-300)))
-    if rank != n:
-        raise StructureError(
-            f"real subspace has dimension {rank}, expected {n}")
-    cols = np.moveaxis(q[:, :n].reshape(n, 4, n), -1, 1)
+    q = _range_basis(coords, n, "real subspace has dimension")
+    cols = np.moveaxis(q.reshape(n, 4, n), -1, 1)
     left = LeftMultiplication(QMatrix(cols), frame)
 
     m_i, m_j, m_k = left.unit_mats()

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
     NotAntiSelfAdjoint,
     NotInImage,
+    StructureError,
 )
 from .quat import (
     Frame,
@@ -486,7 +486,26 @@ def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME
 # spectral decomposition of anti-selfadjoint operators (shared by dynamics)
 
 
+def expm_antihermitian(m: np.ndarray) -> np.ndarray:
+    """exp(M) for an anti-Hermitian complex matrix M.
+
+    With iM = V diag(lam) V* from `eigh`, exp(M) = V diag(e^(-i lam)) V*,
+    which is unitary up to rounding at any norm of M.  `eigh` reads one
+    triangle only, so it is handed the Hermitian part of iM, which is iM
+    itself for anti-Hermitian input; callers check that M is
+    anti-Hermitian."""
+    vals, vecs = np.linalg.eigh(0.5j * (m - m.conj().T))
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
 def expm_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME) -> QMatrix:
-    """exp(A) for anti-selfadjoint A, via the complex embedding."""
-    return complex_unembed(scipy.linalg.expm(complex_embed(a, frame)),
+    """exp(A) for anti-selfadjoint A, via the complex embedding.
+
+    Raises StructureError when A is not anti-selfadjoint within
+    DEFAULT_TOL relative to its norm, at any scale of A and on a NaN."""
+    res = relative_residual(lambda x: x + x.H, a)
+    if not res <= DEFAULT_TOL:
+        raise StructureError(
+            f"exponent must be anti-selfadjoint (relative residual {res:.2e})")
+    return complex_unembed(expm_antihermitian(complex_embed(a, frame)),
                            frame, tol=1e-8)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import scipy.linalg
 
 from . import sampling
 from .algebra import (
@@ -45,6 +44,7 @@ from .qlinalg import (
     classify_operator,
     commutator_norm,
     complex_embed,
+    expm_antihermitian,
     expm_antiselfadjoint,
     operator_norm,
     polar_antiselfadjoint,
@@ -187,7 +187,7 @@ def _structured_complex(rng, n, kind):
     if kind == 2:
         return 0.5 * (raw - raw.conj().T)
     if kind == 3:
-        return scipy.linalg.expm(0.5 * (raw - raw.conj().T))
+        return expm_antihermitian(0.5 * (raw - raw.conj().T))
     q, _ = np.linalg.qr(raw)
     cols = q[:, : max(1, n // 2)]
     return cols @ cols.conj().T
@@ -279,7 +279,7 @@ prop_splitting = _per_dim(_splitting_trial)
 def _random_orthogonal(rng, n):
     skew = rng.standard_normal((n, n))
     skew = skew - skew.T
-    return scipy.linalg.expm(0.3 * skew)
+    return expm_antihermitian(0.3 * skew).real
 
 
 def _left_unit_pair(n):

@@ -507,8 +507,8 @@ def test_main_runs_every_openblas_copy_at_one_thread(blas_policy, capsys,
         _openblas_function(lib, "set")(2)
     assert main(["demo", "counitary"]) == 0
     pinned = cli._one_blas_thread()
-    assert len(pinned) == 2           # numpy's copy and scipy's
-    assert [_openblas_function(lib, "get")() for lib in pinned] == [1, 1]
+    assert len(pinned) == 1           # numpy's copy; the CLI loads no other
+    assert [_openblas_function(lib, "get")() for lib in pinned] == [1]
 
 
 def test_user_blas_thread_variable_is_honoured():

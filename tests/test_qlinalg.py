@@ -7,9 +7,15 @@ scalar arithmetic and compared against the vectorized implementations.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qreduce import sampling
-from qreduce.errors import DimensionError, NotAntiSelfAdjoint, NotInImage
+from qreduce.errors import (
+    DimensionError,
+    NotAntiSelfAdjoint,
+    NotInImage,
+    StructureError,
+)
 from qreduce.qlinalg import (
     QMatrix,
     QVector,
@@ -19,6 +25,8 @@ from qreduce.qlinalg import (
     complex_embed,
     complex_unembed,
     embed_vector,
+    expm_antihermitian,
+    expm_antiselfadjoint,
     gram_schmidt_h,
     inner,
     operator_norm,
@@ -309,6 +317,50 @@ def test_polar_rejects_non_antiselfadjoint():
         polar_antiselfadjoint(QMatrix.identity(2) * 1e200)
     with pytest.raises(NotAntiSelfAdjoint):
         polar_antiselfadjoint(QMatrix(np.full((2, 2, 4), np.nan)))
+
+
+def _antihermitian_cases(rng, n):
+    """A random anti-Hermitian matrix, chi of a random anti-selfadjoint
+    quaternionic one (spectrum in pairs +-i lam), and chi of a scalar
+    imaginary unit (two eigenvalues, each n-fold)."""
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    unit = sampling.imaginary_unit(rng).as_quaternion()
+    return [0.5 * (raw - raw.conj().T),
+            complex_embed(sampling.antiselfadjoint(rng, n)),
+            complex_embed(QMatrix.scalar(n, unit))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_expm_antihermitian_matches_scipy_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        for m in _antihermitian_cases(rng, n):
+            for t in (1e-3, 0.5, 1.0, 7.0, 50.0):
+                tm = t * m
+                u = expm_antihermitian(tm)
+                scale = max(1.0, np.linalg.norm(tm, 2))
+                assert np.linalg.norm(u - scipy.linalg.expm(tm)) \
+                    <= 1e-12 * scale
+                assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) \
+                    <= 1e-13
+
+
+def test_expm_antiselfadjoint_matches_scipy_oracle():
+    rng = np.random.default_rng(48)
+    for n in (1, 2, 4, 8):
+        a = sampling.antiselfadjoint(rng, n)
+        got = complex_embed(expm_antiselfadjoint(a))
+        oracle = scipy.linalg.expm(complex_embed(a))
+        assert np.linalg.norm(got - oracle) <= 1e-12 * max(1.0, a.frob())
+
+
+def test_expm_rejects_non_antiselfadjoint():
+    with pytest.raises(StructureError):
+        expm_antiselfadjoint(QMatrix.identity(2))
+    with pytest.raises(StructureError):               # |A| overflows
+        expm_antiselfadjoint(QMatrix.identity(2) * 1e200)
+    with pytest.raises(StructureError):
+        expm_antiselfadjoint(QMatrix(np.full((2, 2, 4), np.nan)))
 
 
 def test_gram_schmidt_h():
