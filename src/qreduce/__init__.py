@@ -16,10 +16,8 @@ __version__ = "0.1.0"
 from .quat import (  # noqa: F401
     E1,
     E2,
-    E3,
     Frame,
     ImaginaryUnit,
-    ONE,
     Quaternion,
     STANDARD_FRAME,
     UNIT_E1,
@@ -47,7 +45,6 @@ from .functors import (  # noqa: F401
     LeftMultiplication,
     SplitSpace,
     extend_from_plus,
-    extend_scalars,
     internal_complexify,
     internal_quaternionify,
     real_subspace_and_left_mult,

@@ -82,18 +82,11 @@ class CommutantBasis:
         n = math.isqrt(self.mat.shape[1] // 4)
         return self.mat.reshape(-1, n, n, 4)
 
-    @property
-    def basis(self) -> list[QMatrix]:
-        return [QMatrix(b) for b in self.stack]
-
     def membership_residual(self, t: QMatrix) -> float:
         """Relative least-squares distance of t from the spanned subspace."""
         x = vec(t)
         scale = max(1.0, float(np.linalg.norm(x)))
         return float(np.linalg.norm(x - self.mat.T @ (self.mat @ x))) / scale
-
-    def contains(self, t: QMatrix) -> bool:
-        return self.membership_residual(t) <= MEMBERSHIP_TOL
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,10 +454,6 @@ class ReductionReport:
     restricted_generators: list[np.ndarray]
     restricted_evolution: list[np.ndarray]
     checks: list[Check]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
         return {

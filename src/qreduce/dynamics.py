@@ -97,8 +97,8 @@ def transition_probs(v: QVector, u: QVector,
 
 @dataclass(frozen=True)
 class CounitaryReport:
-    """Co-unitary compatibility residuals and the induced left-action
-    candidates for a family of unitaries.
+    """Co-unitary compatibility residuals and the distances between the
+    induced left-action candidates for a family of unitaries.
 
     Every unitary U yields a co-unitary map v -> (Uv) * h^-1 for the inner
     automorphism of h, and the induced candidate left action is U itself;
@@ -106,9 +106,7 @@ class CounitaryReport:
     not single out a left multiplication.
     """
 
-    phase: Quaternion
     rmqq_residuals: list[float]
-    candidates: list[QMatrix]
     distances: np.ndarray          # raw operator-norm distances
     central_distances: np.ndarray  # distances modulo the central sign
 
@@ -162,4 +160,4 @@ def counitary_demo(hq: Quaternion, u_list: list[QMatrix], trials: int = 8,
             summed = operator_norm(u_list[a_idx] + u_list[b_idx])
             distances[a_idx, b_idx] = distances[b_idx, a_idx] = diff
             central[a_idx, b_idx] = central[b_idx, a_idx] = min(diff, summed)
-    return CounitaryReport(hq, residuals, list(u_list), distances, central)
+    return CounitaryReport(residuals, distances, central)

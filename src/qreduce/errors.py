@@ -18,9 +18,9 @@ class NotInImage(QReduceError):
     """A complex matrix does not satisfy the block symmetry of the
     quaternionic embedding."""
 
-    def __init__(self, residual: float, message: str = ""):
+    def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(message or f"block-symmetry residual {residual:.3e}")
+        super().__init__(f"block-symmetry residual {residual:.3e}")
 
 
 class NotAntiSelfAdjoint(QReduceError):

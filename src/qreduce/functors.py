@@ -1,12 +1,14 @@
 """Scalar extension and restriction between real, complex and quaternionic
 carriers.
 
-Two families of constructions live here.  External ones change nothing
-about the vector space but reinterpret matrix entries in a larger scalar
-field; internal ones keep the space and install a richer scalar action
-from structural operators (an anti-selfadjoint unitary J, or an
-anticommuting pair I, J).  The bridge between a quaternionic space and
-its complex component space is the splitting
+Two families of constructions live here.  Restriction and extension
+move J-commuting quaternionic operators to complex ones on the component
+space and back (reading a real or complex matrix as a quaternionic one is
+`QMatrix.from_real`/`from_complex`); internal constructions keep a real
+space and install a richer scalar action from structural operators (an
+anti-selfadjoint unitary J, or an anticommuting pair I, J).  The bridge
+between a quaternionic space and its complex component space is the
+splitting
 
     H = H+ (+) H+ * j,    H+ = {v : Jv = v*i},
 
@@ -32,12 +34,10 @@ from .quat import (
     Quaternion,
     STANDARD_FRAME,
     frame_complete,
-    from_frame,
     matmul4,
     mul4,
     symplectic_join,
     symplectic_split,
-    to_frame,
 )
 from .report import max_residual
 
@@ -54,30 +54,6 @@ def _check_anti_unitary(j: QMatrix, what: str = "J") -> None:
         raise StructureError(
             f"{what} must be unitary and anti-selfadjoint "
             f"(residuals {anti:.2e}, {gram:.2e})")
-
-
-# ---------------------------------------------------------------------------
-# external scalar extension
-
-
-def extend_scalars(mat: np.ndarray, target: str,
-                   frame: Frame = STANDARD_FRAME):
-    """Reinterpret a real or complex matrix over a strictly larger field.
-
-    The entries are unchanged; complex entries are embedded into the plane
-    of frame.i.  Norm, adjoint and the structure flags are preserved.
-    """
-    mat = np.asarray(mat)
-    source_complex = np.iscomplexobj(mat)
-    if target == "complex":
-        if source_complex:
-            raise ValueError("source field must be strictly smaller than target")
-        return mat.astype(complex)
-    if target == "quaternion":
-        if source_complex:
-            return QMatrix.from_complex(mat, frame)
-        return QMatrix.from_real(mat.astype(float))
-    raise ValueError(f"unknown target field {target!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +188,23 @@ class ComplexifiedSpace:
     def inner(self, v: np.ndarray, u: np.ndarray) -> complex:
         return complex(v @ u - 1j * (v @ (self.J @ u)))
 
-    def scalar_mul(self, a: complex, v: np.ndarray) -> np.ndarray:
-        return a.real * v + a.imag * (self.J @ v)
-
 
 def _orthonormal_tuples(n: int, maps: list[np.ndarray]) -> np.ndarray:
     """Greedy basis v_m such that (v_m, A v_m, ...) over `maps` is a real
-    orthonormal family; returns the v_m as columns."""
+    orthonormal family; returns the v_m as columns.  Each v_m is the
+    standard vector with the largest part orthogonal to the family so far,
+    normalised; that part has norm at least sqrt(1 - k/n) with k vectors
+    in the family, so no rounding error is divided by a small norm."""
     accum = np.zeros((n, 0))
     picks = []
-    for m in range(n):
-        c = np.zeros(n)
-        c[m] = 1.0
-        w = c - accum @ (accum.T @ c)
-        nrm = np.linalg.norm(w)
-        if nrm <= DEFAULT_TOL:
-            continue
-        v = w / nrm
-        group = [v] + [a @ v for a in maps]
+    for _ in range(n // (len(maps) + 1)):
+        rest = np.eye(n) - accum @ accum.T
+        norms = np.linalg.norm(rest, axis=0)
+        m = int(np.argmax(norms))
+        v = rest[:, m] / norms[m]
         picks.append(v)
-        accum = np.concatenate([accum, np.stack(group, axis=1)], axis=1)
-        if accum.shape[1] == n:
-            break
-    expected = n // (len(maps) + 1)
-    if len(picks) != expected:
-        raise InternalInconsistency(
-            f"extracted {len(picks)} basis vectors, expected {expected}")
+        accum = np.concatenate(
+            [accum, np.stack([v] + [a @ v for a in maps], axis=1)], axis=1)
     return np.stack(picks, axis=1)
 
 
@@ -278,29 +245,21 @@ class QuaternionifiedSpace:
     basis: np.ndarray          # n x dim
     I: np.ndarray
     J: np.ndarray
-    frame: Frame
     matrices: list[QMatrix]
 
     def inner(self, v: np.ndarray, u: np.ndarray) -> Quaternion:
         ji = self.J @ self.I
-        parts = np.array([v @ u, -(v @ (self.I @ u)), -(v @ (self.J @ u)),
-                          -(v @ (ji @ u))])
-        return Quaternion.from_array(from_frame(parts, self.frame))
-
-    def scalar_mul(self, v: np.ndarray, a: Quaternion) -> np.ndarray:
-        c = to_frame(a.as_array(), self.frame)
-        return (c[0] * v + c[1] * (self.I @ v) + c[2] * (self.J @ v)
-                + c[3] * (self.J @ (self.I @ v)))
+        return Quaternion.from_array([v @ u, -(v @ (self.I @ u)),
+                                      -(v @ (self.J @ u)), -(v @ (ji @ u))])
 
 
 def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
-                           j_op: np.ndarray, frame: Frame = STANDARD_FRAME
-                           ) -> QuaternionifiedSpace:
+                           j_op: np.ndarray) -> QuaternionifiedSpace:
     """Turn R^n with an anticommuting anti-selfadjoint orthogonal pair (I, J)
     into H^(n/4).
 
-    The right action is v*a = a0 v + a1 I v + a2 J v + a3 J I v with the
-    components of a taken along the frame.
+    The right action is v*a = a0 v + a1 I v + a2 J v + a3 J I v for
+    a = a0 + a1 e1 + a2 e2 + a3 e3.
     """
     i_op = np.asarray(i_op, dtype=float)
     j_op = np.asarray(j_op, dtype=float)
@@ -327,8 +286,8 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
     for t in mats:
         parts = [basis.T @ t @ basis] + [-(basis.T @ op @ t @ basis)
                                          for op in (i_op, j_op, ji)]
-        out.append(QMatrix(from_frame(np.stack(parts, axis=-1), frame)))
-    return QuaternionifiedSpace(n // 4, basis, i_op, j_op, frame, out)
+        out.append(QMatrix(np.stack(parts, axis=-1)))
+    return QuaternionifiedSpace(n // 4, basis, i_op, j_op, out)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +318,6 @@ class LeftMultiplication:
         return (self.mat(self.frame.i.as_quaternion()),
                 self.mat(self.frame.j.as_quaternion()),
                 self.mat(self.frame.k.as_quaternion()))
-
-    def basis_vectors(self) -> list[QVector]:
-        return [self.real_basis.column(m) for m in range(self.n)]
 
 
 def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,

@@ -56,20 +56,6 @@ class QVector:
         self.data = _freeze(data.copy())
 
     @classmethod
-    def zeros(cls, n: int) -> "QVector":
-        return cls(np.zeros((n, 4)))
-
-    @classmethod
-    def basis(cls, n: int, m: int) -> "QVector":
-        data = np.zeros((n, 4))
-        data[m, 0] = 1.0
-        return cls(data)
-
-    @classmethod
-    def from_quaternions(cls, entries) -> "QVector":
-        return cls(np.stack([q.as_array() for q in entries]))
-
-    @classmethod
     def from_complex(cls, c: np.ndarray, frame: Frame = STANDARD_FRAME) -> "QVector":
         """Lift complex coordinates into the plane of frame.i."""
         c = np.asarray(c, dtype=complex).reshape(-1)
@@ -78,9 +64,6 @@ class QVector:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    def entry(self, m: int) -> Quaternion:
-        return Quaternion.from_array(self.data[m])
 
     def __add__(self, other: "QVector") -> "QVector":
         return QVector(self.data + other.data)
@@ -164,9 +147,6 @@ class QMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    def entry(self, m: int, k: int) -> Quaternion:
-        return Quaternion.from_array(self.data[m, k])
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         return QMatrix(self.data + other.data)
@@ -361,15 +341,6 @@ class OperatorFlags:
     normal: bool
     projection: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "selfadjoint": self.selfadjoint,
-            "antiselfadjoint": self.antiselfadjoint,
-            "unitary": self.unitary,
-            "normal": self.normal,
-            "projection": self.projection,
-        }
-
 
 def classify_operator(t: QMatrix, tol: float = DEFAULT_TOL) -> OperatorFlags:
     """Boolean structure flags from Frobenius residuals, relative to the
@@ -397,14 +368,13 @@ def is_unitary(t: QMatrix) -> bool:
             <= DEFAULT_TOL * max(1.0, t.frob() ** 2))
 
 
-def spectral_projections(t: QMatrix, frame: Frame = STANDARD_FRAME
-                         ) -> list[tuple[float, QMatrix]]:
+def spectral_projections(t: QMatrix) -> list[tuple[float, QMatrix]]:
     """Eigensphere projections of a selfadjoint operator.
 
     Returns (eigenvalue, projection) pairs; the projections are mutually
     orthogonal and sum to the identity.
     """
-    chi = complex_embed(t, frame)
+    chi = complex_embed(t)
     herm = 0.5 * (chi + chi.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
@@ -415,7 +385,7 @@ def spectral_projections(t: QMatrix, frame: Frame = STANDARD_FRAME
             block = vecs[:, start:stop]
             proj_c = block @ block.conj().T
             out.append((float(vals[start:stop].mean()),
-                        complex_unembed(proj_c, frame, tol=1e-7)))
+                        complex_unembed(proj_c, tol=1e-7)))
             start = stop
     return out
 
@@ -498,7 +468,7 @@ def expm_antihermitian(m: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
-def expm_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME) -> QMatrix:
+def expm_antiselfadjoint(a: QMatrix) -> QMatrix:
     """exp(A) for anti-selfadjoint A, via the complex embedding.
 
     Raises StructureError when A is not anti-selfadjoint within
@@ -507,5 +477,4 @@ def expm_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME) -> QMatrix:
     if not res <= DEFAULT_TOL:
         raise StructureError(
             f"exponent must be anti-selfadjoint (relative residual {res:.2e})")
-    return complex_unembed(expm_antihermitian(complex_embed(a, frame)),
-                           frame, tol=1e-8)
+    return complex_unembed(expm_antihermitian(complex_embed(a)), tol=1e-8)

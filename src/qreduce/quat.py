@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import StructureError
 
-DEFAULT_TOL = 1e-12
-
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 # The Hamilton table: e_a e_b = sign * e_(a xor b), with the sign below
@@ -103,13 +101,6 @@ class Quaternion:
     def __abs__(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
-    def inverse(self) -> "Quaternion":
-        n2 = self.w**2 + self.x**2 + self.y**2 + self.z**2
-        if n2 == 0.0:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        c = self.conjugate()
-        return Quaternion(c.w / n2, c.x / n2, c.y / n2, c.z / n2)
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
                           self.y + other.y, self.z + other.z)
@@ -132,9 +123,6 @@ class Quaternion:
         return Quaternion(self.w * other, self.x * other,
                           self.y * other, self.z * other)
 
-    def is_close(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
-        return abs(self - other) <= tol
-
     def to_json(self) -> list:
         return [self.w, self.x, self.y, self.z]
 
@@ -143,10 +131,8 @@ class Quaternion:
         return cls.from_array(payload)
 
 
-ONE = Quaternion(1.0)
 E1 = Quaternion(0.0, 1.0, 0.0, 0.0)
 E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
-E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from .qlinalg import QMatrix, QVector, expm_antiselfadjoint
-from .quat import Frame, ImaginaryUnit, Quaternion, STANDARD_FRAME
+from .quat import ImaginaryUnit, Quaternion
 
 
-def quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion.from_array(scale * rng.standard_normal(4))
+def quaternion(rng: np.random.Generator) -> Quaternion:
+    return Quaternion.from_array(rng.standard_normal(4))
 
 
 def unit_quaternion(rng: np.random.Generator) -> Quaternion:
@@ -38,8 +38,8 @@ def unit_qvector(rng: np.random.Generator, n: int) -> QVector:
     return v * (1.0 / v.norm())
 
 
-def qmatrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> QMatrix:
-    return QMatrix(scale * rng.standard_normal((n, n, 4)))
+def qmatrix(rng: np.random.Generator, n: int) -> QMatrix:
+    return QMatrix(rng.standard_normal((n, n, 4)))
 
 
 def selfadjoint(rng: np.random.Generator, n: int) -> QMatrix:
@@ -52,29 +52,16 @@ def antiselfadjoint(rng: np.random.Generator, n: int) -> QMatrix:
     return (t - t.H) * 0.5
 
 
-def unitary(rng: np.random.Generator, n: int,
-            frame: Frame = STANDARD_FRAME) -> QMatrix:
+def unitary(rng: np.random.Generator, n: int) -> QMatrix:
     """Haar-ish unitary as the exponential of a random anti-selfadjoint."""
-    return expm_antiselfadjoint(antiselfadjoint(rng, n), frame)
+    return expm_antiselfadjoint(antiselfadjoint(rng, n))
 
 
-def projection(rng: np.random.Generator, n: int, rank: int) -> QMatrix:
-    """Orthogonal projection of the given quaternionic rank."""
-    from .qlinalg import gram_schmidt_h, outer
-
-    basis = gram_schmidt_h([qvector(rng, n) for _ in range(rank)])
-    p = QMatrix.zeros(n)
-    for b in basis[:rank]:
-        p = p + outer(b, b)
-    return p
-
-
-def anti_unit(rng: np.random.Generator, n: int,
-              frame: Frame = STANDARD_FRAME) -> QMatrix:
+def anti_unit(rng: np.random.Generator, n: int) -> QMatrix:
     """Random unitary anti-selfadjoint J with J^2 = -I: a conjugated diagonal
     of imaginary units."""
     units = [imaginary_unit(rng).as_quaternion() for _ in range(n)]
-    w = unitary(rng, n, frame)
+    w = unitary(rng, n)
     return w @ QMatrix.diag(units) @ w.H
 
 

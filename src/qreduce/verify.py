@@ -32,7 +32,6 @@ from .algebra import (
 from .dynamics import counitary_demo, transition_probs
 from .functors import (
     extend_from_plus,
-    extend_scalars,
     internal_complexify,
     internal_quaternionify,
     restrict_to_plus,
@@ -223,10 +222,9 @@ def _functor_trial(rng, n, index):
     if index % 2 == 0:
         mat = mat.real + 0.0j   # exercise the real route too
     frame = frame_complete(sampling.imaginary_unit(rng))
-    lifted = extend_scalars(mat, "quaternion", frame)
+    lifted = QMatrix.from_complex(mat, frame)
     norm_gap = abs(operator_norm(lifted) - np.linalg.norm(mat, 2))
-    adj_gap = (lifted.H - extend_scalars(mat.conj().T, "quaternion",
-                                         frame)).frob()
+    adj_gap = (lifted.H - QMatrix.from_complex(mat.conj().T, frame)).frob()
     mismatches = _flag_mismatch(lifted, mat)
     # restriction route: lift through a planted splitting
     j = sampling.anti_unit(rng, n)

@@ -34,11 +34,11 @@ def test_evolve_zero_hamiltonian():
 
 def test_evolve_scalar_closed_form():
     h = Hamiltonian(QMatrix.diag([E1]))
-    v = QVector.from_quaternions([Quaternion(1.0)])
+    v = QVector(Quaternion(1.0).as_array()[None, :])
     for t in (0.3, 1.2, -0.8):
         got = evolve(h, v, t)
         want = Quaternion(np.cos(t)) - E1 * np.sin(t)
-        assert abs(got.entry(0) - want) <= 1e-12
+        assert abs(Quaternion.from_array(got.data[0]) - want) <= 1e-12
 
 
 def test_evolve_unitarity_and_group_law():
@@ -119,7 +119,6 @@ def test_counitary_identity_candidate():
     hq = sampling.unit_quaternion(rng)
     report = counitary_demo(hq, [QMatrix.identity(2)])
     assert report.max_rmqq_residual <= 1e-10
-    assert (report.candidates[0] - QMatrix.identity(2)).frob() == 0.0
 
 
 def test_counitary_sign_pair_coincides_centrally():

@@ -1,5 +1,7 @@
 """Tests for scalar extension/restriction and the internal constructions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from qreduce.errors import (
 from qreduce.functors import (
     SplitSpace,
     extend_from_plus,
-    extend_scalars,
     internal_complexify,
     internal_quaternionify,
     real_subspace_and_left_mult,
@@ -29,13 +30,13 @@ from qreduce.qlinalg import (
 from qreduce.quat import (
     E1,
     E2,
-    E3,
     Quaternion,
     UNIT_E1,
     symplectic_join,
     symplectic_split,
 )
 
+E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def complex_flags(mat: np.ndarray, tol: float = 1e-10) -> dict:
@@ -54,12 +55,12 @@ def complex_flags(mat: np.ndarray, tol: float = 1e-10) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# extend_scalars
+# scalar extension: QMatrix.from_real and QMatrix.from_complex
 
 
 def test_extend_real_rotation_preserves_flags():
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    lifted = extend_scalars(rot, "quaternion")
+    lifted = QMatrix.from_real(rot)
     flags = classify_operator(lifted)
     assert flags.antiselfadjoint and flags.unitary
     assert operator_norm(lifted) == pytest.approx(np.linalg.norm(rot, 2))
@@ -67,20 +68,13 @@ def test_extend_real_rotation_preserves_flags():
 
 def test_extend_identity_and_composition():
     ident = np.eye(3)
-    as_h = extend_scalars(ident, "quaternion")
+    as_h = QMatrix.from_real(ident)
     assert (as_h - QMatrix.identity(3)).frob() == 0.0
     rng = np.random.default_rng(0)
     t = rng.standard_normal((3, 3))
-    via_c = extend_scalars(extend_scalars(t, "complex"), "quaternion")
-    direct = extend_scalars(t, "quaternion")
+    via_c = QMatrix.from_complex(t.astype(complex))
+    direct = QMatrix.from_real(t)
     np.testing.assert_array_equal(via_c.data, direct.data)
-
-
-def test_extend_rejects_non_enlarging():
-    with pytest.raises(ValueError):
-        extend_scalars(np.eye(2, dtype=complex), "complex")
-    with pytest.raises(ValueError):
-        extend_scalars(np.eye(2), "real")
 
 
 def test_extension_ledger_random():
@@ -88,17 +82,16 @@ def test_extension_ledger_random():
     for _ in range(50):
         n = int(rng.integers(1, 5))
         t = rng.standard_normal((n, n))
-        lifted = extend_scalars(t, "quaternion")
+        lifted = QMatrix.from_real(t)
         assert operator_norm(lifted) == pytest.approx(
             np.linalg.norm(t, 2), abs=1e-9)
-        np.testing.assert_allclose(lifted.H.data,
-                                   extend_scalars(t.T, "quaternion").data)
+        np.testing.assert_allclose(lifted.H.data, QMatrix.from_real(t.T).data)
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lifted_c = extend_scalars(c, "quaternion")
+        lifted_c = QMatrix.from_complex(c)
         assert operator_norm(lifted_c) == pytest.approx(
             np.linalg.norm(c, 2), abs=1e-9)
         np.testing.assert_allclose(
-            lifted_c.H.data, extend_scalars(c.conj().T, "quaternion").data,
+            lifted_c.H.data, QMatrix.from_complex(c.conj().T).data,
             atol=1e-14)
 
 
@@ -110,7 +103,8 @@ def test_extension_flag_ledger():
         herm = 0.5 * (c + c.conj().T)
         for mat in (herm, c - c.conj().T, herm @ herm):
             want = complex_flags(mat)
-            got = classify_operator(extend_scalars(mat, "quaternion")).as_dict()
+            got = dataclasses.asdict(
+                classify_operator(QMatrix.from_complex(mat)))
             assert got == want
 
 
@@ -125,7 +119,7 @@ def test_split_diagonal_j():
     assert space.n == n
     # the standard basis lies in H+, so the extracted basis spans it
     for m in range(n):
-        v1, v2 = components(QVector.basis(n, m), space)
+        v1, v2 = components(QMatrix.identity(n).column(m), space)
         assert np.linalg.norm(v2) <= 1e-12
         assert np.linalg.norm(v1) == pytest.approx(1.0)
 
@@ -262,8 +256,8 @@ def test_restrict_extend_roundtrips():
         herm = 0.5 * (mat + mat.conj().T)
         lifted_h = extend_from_plus(herm, space)
         assert classify_operator(lifted_h, tol=1e-9).selfadjoint
-        assert classify_operator(lifted_h, tol=1e-9).as_dict() == complex_flags(
-            herm, tol=1e-9)
+        assert dataclasses.asdict(classify_operator(
+            lifted_h, tol=1e-9)) == complex_flags(herm, tol=1e-9)
 
 
 def test_restrict_requires_commutation():
@@ -282,7 +276,7 @@ def test_complex_op_roundtrip_through_quaternions():
     # i*I on C^2 lifts to diag(e1, e1); restricting through its own split
     # space recovers i*I
     mat = 1j * np.eye(2)
-    lifted = extend_scalars(mat, "quaternion")
+    lifted = QMatrix.from_complex(mat)
     np.testing.assert_allclose(lifted.data, QMatrix.diag([E1, E1]).data)
     space = split_plus_minus(lifted, UNIT_E1)
     np.testing.assert_allclose(restrict_to_plus(lifted, space), mat, atol=1e-10)
@@ -344,9 +338,26 @@ def test_internal_complexify_matrix_represents_action():
     for m in range(report.dim):
         vm = report.basis[:, m]
         image = t @ vm
-        rebuilt = sum(report.scalar_mul(complex(mat[k, m]), report.basis[:, k])
+        # a * v = Re(a) v + Im(a) J v on the complexified space
+        rebuilt = sum(mat[k, m].real * report.basis[:, k]
+                      + mat[k, m].imag * (j @ report.basis[:, k])
                       for k in range(report.dim))
         np.testing.assert_allclose(image, rebuilt, atol=1e-10)
+
+
+def test_internal_complexify_basis_orthonormal_for_near_aligned_j():
+    """J = W blockdiag(R, R) W^T with W a rotation by theta = 1e-7 in the
+    (e2, e3) plane, R the rotation by pi/2: the part of e2 orthogonal to
+    (e1, J e1) has norm about theta, and the basis must not divide the
+    rounding of J by it."""
+    theta = 1e-7
+    c, s = np.cos(theta), np.sin(theta)
+    w = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, -s, 0.0],
+                  [0.0, s, c, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    j = w @ np.kron(np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])) @ w.T
+    v = internal_complexify([], j).basis
+    b = np.concatenate([v, j @ v], axis=1)
+    assert np.linalg.norm(b.T @ b - np.eye(4)) <= 1e-14
 
 
 def test_internal_complexify_errors():
@@ -412,13 +423,13 @@ def test_internal_quaternionify_right_action_consistency():
     rng = np.random.default_rng(13)
     for _ in range(50):
         v = rng.standard_normal(4)
-        a, b = sampling.quaternion(rng), sampling.quaternion(rng)
-        lhs = report.scalar_mul(report.scalar_mul(v, a), b)
-        rhs = report.scalar_mul(v, a * b)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-        # compatibility: <v, u*a> = <v, u> a
+        a = sampling.quaternion(rng)
+        # compatibility: <v, u*a> = <v, u> a, with the right action
+        # u*a = a0 u + a1 I u + a2 J u + a3 J I u
         u = rng.standard_normal(4)
-        got = report.inner(v, report.scalar_mul(u, a))
+        u_a = (a.w * u + a.x * (i_op @ u) + a.y * (j_op @ u)
+               + a.z * (j_op @ (i_op @ u)))
+        got = report.inner(v, u_a)
         want = report.inner(v, u) * a
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
@@ -447,9 +458,9 @@ def test_left_mult_scalar_case():
     j_op = QMatrix.diag([E2])
     left = real_subspace_and_left_mult(i_op, j_op)
     assert left.n == 1
-    b = left.basis_vectors()[0]
+    b = left.real_basis.column(0)
     # H_R is the real axis: the basis vector is +-1
-    assert abs(abs(b.entry(0).w) - 1.0) <= 1e-12
+    assert abs(abs(b.data[0, 0]) - 1.0) <= 1e-12
     for q in (E1, E2, E3, Quaternion(0.5, -1, 2, 0.25)):
         got = left.mat(q)
         np.testing.assert_allclose(got.data, QMatrix.diag([q]).data, atol=1e-12)
