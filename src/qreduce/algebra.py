@@ -7,11 +7,14 @@ constraint.  The generators are closed under the adjoint, and T commutes
 with them iff T* does, so the nullspace splits into a selfadjoint and a
 skew part.  In orthonormal selfadjoint/skew coordinates the constraint's
 Gram matrix is block-diagonal, with blocks of 2n^2 - n and 2n^2 + n
-coordinates, and the two blocks are solved apart.  Each is found in two
-steps.  One symmetric eigendecomposition of the block's Gram matrix
-settles every direction whose singular value lies far above the cutoff.
-The block restricted to the few remaining candidate directions then
-decides them.  The cutoff is relative to the largest singular value over
+coordinates, and the two blocks are solved apart.  Since
+ad_G*(T) = -(ad_G(T*))* and T -> T* is +-1 on those coordinates, G* adds
+exactly G's own diagonal blocks, so the constraint is built from one
+generator per adjoint pair, weighted sqrt 2, and the identity adds none.
+Each block is found in two steps.  One symmetric eigendecomposition of
+the block's Gram matrix settles every direction whose singular value lies
+far above the cutoff.  The block restricted to the few remaining
+candidate directions then decides them.  The cutoff is relative to the largest singular value over
 both blocks, which is that of the whole constraint, so every direction
 is decided by the rule an SVD of the whole constraint would apply.
 The bicommutant and the center are commutants too.  Irreducibility and
@@ -19,6 +22,9 @@ the R/C/H trichotomy are read off the nullspace dimensions of the two
 blocks, so the nullspace rule is the only decision behind them: the
 algebra is irreducible iff the selfadjoint part of its commutant is R I,
 and the kind is the dimension of the skew part (0, 1 or 3).
+The generated algebra, which cross-checks the bicommutant, is closed
+from its newest rows: each round multiplies only the rows the previous
+round added.
 The reduction of complex-induced systems is layered on top.
 """
 from __future__ import annotations
@@ -139,7 +145,7 @@ def _commutator_constraint(gens: np.ndarray) -> list[np.ndarray]:
         out[rows, :, :, q] += wt * left[p, d]
         # E_pq e_d G: row p holds e_d G[q, :]
         out[rows, :, p, :] -= wt * right[q, d]
-    out = out.reshape(4 * n * n, -1)
+    out = out.reshape(4 * n * n, k * 4 * n * n)
     return [out[:split].T, out[split:].T]
 
 
@@ -211,26 +217,30 @@ def _nullspace_rows(blocks: list[np.ndarray], cutoff: float,
     return null
 
 
-def _commutant_of(mats: np.ndarray) -> CommutantBasis:
-    """Commutant (S u S*)' of a (k, n, n, 4) stack S of matrices; this is
-    S' for the *-closed stacks passed here (the generators; the commutant
-    basis; both together).
-
-    The commutant of c G is that of G, so each nonzero matrix is scaled to
-    unit Frobenius norm first (after an exact binary scaling, so that the
-    norm is finite and nonzero at any scale) and the cutoff is relative at
-    every scale.
-    T is in (S u S*)' iff T* is, since [G, T]* = -[G*, T*], so the
-    commutant is its selfadjoint part plus its skew part, and T -> T* is
-    an isometry that carries the commutator Gram of S u S* to itself.  In
-    selfadjoint/skew coordinates that Gram is therefore block-diagonal,
-    and the two blocks of :func:`_commutator_constraint` are decided
-    separately by :func:`_nullspace_rows` under the one threshold of the
-    whole constraint.  The rows come out selfadjoint first, then skew."""
+def _unit_scaled(mats: np.ndarray) -> np.ndarray:
+    """Each nonzero matrix of a (k, n, n, 4) stack at unit Frobenius norm,
+    after an exact binary scaling, so that the norm is finite and nonzero
+    at any scale; a zero matrix stays zero."""
     mats = binary_scaled(mats)
-    norms = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
-    unit = mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
-    parts = _nullspace_rows(_commutator_constraint(unit), SV_CUTOFF, 1.0)
+    n = mats.shape[1]
+    norms = np.linalg.norm(mats.reshape(len(mats), 4 * n * n), axis=1)
+    return mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
+
+
+def _commutant_of(mats: np.ndarray) -> CommutantBasis:
+    """Commutant (S u S*)' of a (k, n, n, 4) stack S of matrices of about
+    unit Frobenius norm (the weighted generators; the commutant basis; both
+    together), on which a cutoff relative to max(top, 1) is relative.
+
+    T is in (S u S*)' iff T* is, since [G, T]* = -[G*, T*], so the
+    commutant is its selfadjoint part plus its skew part.  In
+    selfadjoint/skew coordinates T -> T* is +-1, and ad_G*(T) =
+    -(ad_G(T*))*, so ad_G* has the same two diagonal Gram blocks as ad_G;
+    those blocks are all that is read.  The two blocks of
+    :func:`_commutator_constraint` are decided separately by
+    :func:`_nullspace_rows` under the one threshold of the whole
+    constraint.  The rows come out selfadjoint first, then skew."""
+    parts = _nullspace_rows(_commutator_constraint(mats), SV_CUTOFF, 1.0)
     return CommutantBasis(_from_adjoint_coordinates(parts, mats.shape[1]),
                           selfadjoint=len(parts[0]))
 
@@ -240,6 +250,12 @@ class StarAlgebra:
 
     The generator list is closed under the adjoint and always contains the
     identity; the commutant basis is computed on first use and cached.
+
+    The commutant's constraint holds one generator per adjoint pair: each
+    input generator at unit Frobenius norm (the commutant of c G is that of
+    G), weighted sqrt 2 when it is not selfadjoint.  Its two Gram blocks are
+    then those of the whole unit-scaled list, identity and adjoints
+    included (see :func:`_commutant_of`), with half the rows.
     """
 
     def __init__(self, generators: list[QMatrix], n: int | None = None):
@@ -249,22 +265,27 @@ class StarAlgebra:
             n = generators[0].n
         self.n = n
         gens = [QMatrix.identity(n)]
+        scaled, weights = [], []
         for g in generators:
             if g.n != n:
                 raise ValueError("generators have mixed dimensions")
             gens.append(g)
             s = binary_scaled(g.data)
-            if (np.linalg.norm(s - conj4(np.swapaxes(s, 0, 1)))
-                    > 1e-14 * np.linalg.norm(s)):
+            paired = (np.linalg.norm(s - conj4(np.swapaxes(s, 0, 1)))
+                      > 1e-14 * np.linalg.norm(s))
+            if paired:
                 gens.append(g.H)
+            scaled.append(s)
+            weights.append(math.sqrt(2.0) if paired else 1.0)
         self.generators = gens
+        self._constraint = (_unit_scaled(np.reshape(scaled, (-1, n, n, 4)))
+                            * np.reshape(weights, (-1, 1, 1, 1)))
         self._commutant: CommutantBasis | None = None
         self._bicommutant: CommutantBasis | None = None
 
     def commutant_basis(self) -> CommutantBasis:
         if self._commutant is None:
-            self._commutant = _commutant_of(
-                np.stack([g.data for g in self.generators]))
+            self._commutant = _commutant_of(self._constraint)
         return self._commutant
 
     def bicommutant_basis(self) -> CommutantBasis:
@@ -295,37 +316,48 @@ def center(algebra: StarAlgebra) -> CommutantBasis:
     what commutes with the generators lies in A' and what commutes with A'
     lies in A''."""
     return _commutant_of(np.concatenate(
-        [np.stack([g.data for g in algebra.generators]),
-         algebra.commutant_basis().stack]))
+        [algebra._constraint, algebra.commutant_basis().stack]))
 
 
-def _row_span(stack: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the rows of stack, dropping singular values
-    below SV_CUTOFF relative to the largest."""
+def _row_span(stack: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal rows spanning the rows of stack, keeping the singular
+    values above SV_CUTOFF * max(top, scale), top the largest, as in
+    :func:`_nullspace_rows`.  A stack whose Frobenius norm, which bounds
+    every singular value, is within SV_CUTOFF * scale has no such row, and
+    no SVD is taken."""
+    if np.linalg.norm(stack) <= SV_CUTOFF * scale:
+        return stack[:0]
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    return vh[svals > SV_CUTOFF * svals[0]]
+    return vh[svals > SV_CUTOFF * max(svals[0], scale)]
 
 
 def generated_algebra(algebra: StarAlgebra) -> CommutantBasis:
     """Real span of the unital *-algebra generated by the generators.
 
-    Krylov-style closure: starting from the span of the generators (which
-    include the identity and are closed under the adjoint), each round
-    left-multiplies the current orthonormal spanning set by the generators
-    and re-orthonormalises.  The span of all words in the generators is
-    reached once a round adds no rank.  Every round before that one raises
-    the rank, so at most 4n^2 rounds are needed.
+    The generated algebra does not depend on scale, so the generators
+    (which include the identity and are closed under the adjoint) are
+    first put at unit Frobenius norm.  Krylov-style closure from their
+    orthonormal span: if the span V grew by the rows N, the words one
+    letter longer add only the products G N, so each round left-multiplies
+    only the rows the previous round added by every generator but the
+    identity, projects the products twice off V and adds the new
+    directions of the residual, at a cutoff relative to unit scale.  The
+    span of all words is reached once a round adds none; every round
+    before that one raises the rank, so at most 4n^2 rounds are needed.
     """
     n = algebra.n
-    gens = np.stack([g.data for g in algebra.generators])
-    rows = _row_span(gens.reshape(len(gens), -1))
+    gens = _unit_scaled(np.stack([g.data for g in algebra.generators]))
+    rows = _row_span(gens.reshape(len(gens), -1), 1.0)
+    newest = rows
     for _ in range(4 * n * n):
-        products = matmul4(gens[:, None], rows.reshape(1, -1, n, n, 4))
-        new_rows = _row_span(
-            np.concatenate([rows, products.reshape(-1, 4 * n * n)]))
-        if new_rows.shape[0] == rows.shape[0]:
-            return CommutantBasis(new_rows)
-        rows = new_rows
+        rest = matmul4(gens[1:, None], newest.reshape(1, -1, n, n, 4))
+        rest = rest.reshape(-1, 4 * n * n)
+        for _ in range(2):
+            rest = rest - (rest @ rows.T) @ rows
+        newest = _row_span(rest, 1.0)
+        if not len(newest):
+            return CommutantBasis(rows)
+        rows = np.concatenate([rows, newest])
     raise InternalInconsistency(
         f"generated algebra did not close within {4 * n * n} rounds")
 

@@ -174,6 +174,15 @@ UNIT_E2 = ImaginaryUnit(np.array([0.0, 1.0, 0.0]))
 UNIT_E3 = ImaginaryUnit(np.array([0.0, 0.0, 1.0]))
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors, component by component: the
+    products and differences of np.cross, without its broadcasting
+    set-up, which costs more than the arithmetic on one pair."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 @dataclass(frozen=True)
 class Frame:
     """Ordered orthonormal imaginary triple (i, j, k) with k = i*j.
@@ -189,7 +198,7 @@ class Frame:
     def __post_init__(self):
         if abs(float(self.i.direction @ self.j.direction)) > 1e-12:
             raise StructureError("frame axes i and j are not orthogonal")
-        k_expected = np.cross(self.i.direction, self.j.direction)
+        k_expected = _cross(self.i.direction, self.j.direction)
         if np.linalg.norm(self.k.direction - k_expected) > 1e-12:
             raise StructureError("frame axis k is not the product i*j")
 
@@ -199,7 +208,7 @@ class Frame:
 
     @classmethod
     def from_ij(cls, i: ImaginaryUnit, j: ImaginaryUnit) -> "Frame":
-        k = ImaginaryUnit(np.cross(i.direction, j.direction))
+        k = ImaginaryUnit(_cross(i.direction, j.direction))
         return cls(i, j, k)
 
     def rotation(self) -> np.ndarray:

@@ -25,6 +25,7 @@ from qreduce.algebra import (
     _from_adjoint_coordinates,
     _nullspace_rows,
     _projection_samples,
+    _unit_scaled,
     bicommutant,
     center,
     classify_irreducible,
@@ -374,6 +375,42 @@ def test_batched_constraint_matches_per_generator_blocks():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_half_constraint_has_the_gram_blocks_of_the_closed_list(n):
+    """The commutant's constraint holds one generator per adjoint pair,
+    non-selfadjoint ones weighted sqrt 2.  Its two Gram blocks are those of
+    the unit-scaled *-closed list, identity and adjoints included, so the
+    threshold and every decision are those of the whole list."""
+    rng = np.random.default_rng(60 + n)
+    g = sampling.qmatrix(rng, n)
+    h = sampling.qmatrix(rng, n)
+    algebra = StarAlgebra([(g + g.H) * 0.5, (h - h.H) * 0.5, g * 1e-3, h])
+    assert len(algebra._constraint) == 4
+    assert len(algebra.generators) == 8
+    closed = _unit_scaled(np.stack([x.data for x in algebra.generators]))
+    for half, full in zip(_commutator_constraint(algebra._constraint),
+                          _commutator_constraint(closed)):
+        gram = full.T @ full
+        assert (np.linalg.norm(half.T @ half - gram)
+                <= 1e-13 * np.linalg.norm(gram))
+
+
+def test_commutant_survives_json_roundtrip():
+    """The JSON generator list repeats the identity and the adjoints, which
+    then enter the constraint too; the commutant is the same."""
+    rng = np.random.default_rng(61)
+    for gens in (sampling.plant_proper(rng, 3),
+                 sampling.plant_complex_induced(rng, 3)[0],
+                 sampling.plant_real_induced(rng, 3)[0]):
+        algebra = StarAlgebra(gens)
+        again = StarAlgebra.from_json(algebra.to_json())
+        assert len(again.generators) > len(algebra.generators)
+        first, second = commutant(algebra), commutant(again)
+        assert (second.dim_r, second.selfadjoint) == (
+            first.dim_r, first.selfadjoint)
+        assert subspace_gap(first, second) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_adjoint_coordinates_are_orthonormal_and_split(n):
     """2n^2 - n selfadjoint rows, then 2n^2 + n skew rows, together an
     orthonormal basis under the trace form."""
@@ -416,9 +453,11 @@ def test_commutant_of_matrix_units_is_scalar():
 
 
 def test_commutant_of_identity_is_everything():
-    n = 2
-    algebra = StarAlgebra([QMatrix.identity(n)])
-    assert commutant(algebra).dim_r == 4 * n * n
+    """The identity, and no generator at all, leave every matrix in the
+    commutant."""
+    for algebra, n in ((StarAlgebra([QMatrix.identity(2)]), 2),
+                       (StarAlgebra([], n=3), 3)):
+        assert commutant(algebra).dim_r == 4 * n * n
 
 
 def test_commutant_matches_oracle():
@@ -478,11 +517,28 @@ def test_bicommutant_equals_generated_algebra():
                         sampling.plant_complex_induced(rng, n)[0],
                         sampling.plant_real_induced(rng, n)[0]):
             algebras.append(StarAlgebra(planted))
+    # n = 8 takes the most closure rounds: 5 -> 16 -> 64 -> 171 new rows
+    # for a proper system
+    algebras.append(StarAlgebra(sampling.plant_proper(rng, 8)))
+    algebras.append(StarAlgebra(sampling.plant_complex_induced(rng, 8)[0]))
     for algebra in algebras:
         bi = bicommutant(algebra)
         gen = generated_algebra(algebra)
         assert gen.dim_r == bi.dim_r
         assert subspace_gap(gen, bi) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generated_algebra_invariant_under_generator_scaling():
+    """The algebra generated by c G is that of G at every scale, also
+    where c G is tiny or huge next to the identity the closure adds."""
+    gens, _ = sampling.plant_complex_induced(np.random.default_rng(4), 3)
+    expected = generated_algebra(StarAlgebra(gens))
+    assert expected.dim_r == 18
+    for c in (1e-200, 1e-150, 1e150, 1e200):
+        got = generated_algebra(StarAlgebra([g * c for g in gens]))
+        assert got.dim_r == expected.dim_r, c
+        assert subspace_gap(got, expected) <= 1e-12, c
 
 
 def test_generated_algebra_matches_pairwise_closure():
