@@ -495,7 +495,6 @@ class ReductionReport:
                                       for m in self.restricted_generators],
             "restricted_evolution": [complex_matrix_to_json(m)
                                      for m in self.restricted_evolution],
-            "checks": [c.to_json() for c in self.checks],
         }
 
 

@@ -253,11 +253,9 @@ def cmd_classify(args) -> int:
     algebra, _ = _load_system(args.input)
 
     if not is_irreducible(algebra):
-        witness = reducibility_witness(algebra)
         return _finish("classify", [Check("irreducible", 1.0, 0.0)], {
             "commutant_dim": commutant(algebra).dim_r,
-            "reducibility_witness":
-                witness.to_json() if witness is not None else None,
+            "reducibility_witness": reducibility_witness(algebra).to_json(),
         }, args)
 
     verdict = classify_irreducible(algebra)
@@ -294,9 +292,7 @@ def cmd_reduce(args) -> int:
         evolution = _default_evolution(algebra)
 
     result = reduce_system(algebra, evolution, axis)
-    artifacts = result.to_json()
-    del artifacts["checks"]
-    return _finish("reduce", result.checks, artifacts, args)
+    return _finish("reduce", result.checks, result.to_json(), args)
 
 
 # ---------------------------------------------------------------------------

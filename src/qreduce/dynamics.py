@@ -14,20 +14,18 @@ from .errors import NormalizationError, StructureError
 from .qlinalg import (
     QMatrix,
     QVector,
+    classify_operator,
     complex_embed,
     embed_vector,
     expm_antihermitian,
     inner,
-    is_unitary,
     operator_norm,
     polar_antiselfadjoint,
-    relative_residual,
+    require_antiselfadjoint,
     unembed_vector,
 )
 from .quat import Frame, Quaternion, STANDARD_FRAME, symplectic_split
 from .report import max_residual
-
-ANTI_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,10 +36,7 @@ class Hamiltonian:
     frame: Frame = STANDARD_FRAME
 
     def __post_init__(self):
-        res = relative_residual(lambda h: h + h.H, self.mat)
-        if not res <= ANTI_TOL:
-            raise StructureError(f"Hamiltonian must be anti-selfadjoint "
-                                 f"(relative residual {res:.2e})")
+        require_antiselfadjoint(self.mat, "Hamiltonian")
 
     @property
     def n(self) -> int:
@@ -127,7 +122,7 @@ def counitary_demo(hq: Quaternion, u_list: list[QMatrix], trials: int = 8,
     if not abs(abs(hq) - 1.0) <= 1e-10:
         raise NormalizationError("automorphism phase must be a unit quaternion")
     for u in u_list:
-        if not is_unitary(u):
+        if not classify_operator(u).unitary:
             raise StructureError("co-unitary construction needs unitaries")
     h_inv = hq.conjugate()
 

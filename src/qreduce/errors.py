@@ -23,7 +23,7 @@ class NotInImage(QReduceError):
         super().__init__(f"block-symmetry residual {residual:.3e}")
 
 
-class NotAntiSelfAdjoint(QReduceError):
+class NotAntiSelfAdjoint(StructureError):
     """Operator is not anti-selfadjoint within tolerance."""
 
 

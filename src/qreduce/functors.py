@@ -27,7 +27,8 @@ from .errors import (
     InternalInconsistency,
     StructureError,
 )
-from .qlinalg import QMatrix, QVector, commutator_residual, relative_residual
+from .qlinalg import (DEFAULT_TOL, QMatrix, QVector, commutator_residual,
+                      relative_residual)
 from .quat import (
     Frame,
     ImaginaryUnit,
@@ -41,7 +42,6 @@ from .quat import (
 )
 from .report import max_residual
 
-DEFAULT_TOL = 1e-10
 RANK_TOL = 1e-10
 
 

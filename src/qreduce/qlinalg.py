@@ -21,7 +21,6 @@ from .errors import (
     DimensionError,
     NotAntiSelfAdjoint,
     NotInImage,
-    StructureError,
 )
 from .quat import (
     Frame,
@@ -363,52 +362,39 @@ def classify_operator(t: QMatrix, tol: float = DEFAULT_TOL) -> OperatorFlags:
     )
 
 
-def is_unitary(t: QMatrix) -> bool:
-    return ((t.H @ t - QMatrix.identity(t.n)).frob()
-            <= DEFAULT_TOL * max(1.0, t.frob() ** 2))
-
-
 def spectral_projections(t: QMatrix) -> list[tuple[float, QMatrix]]:
     """Eigensphere projections of a selfadjoint operator.
 
-    Returns (eigenvalue, projection) pairs; the projections are mutually
-    orthogonal and sum to the identity.
+    Returns (eigenvalue, projection) pairs in ascending order; the
+    projections are mutually orthogonal and sum to the identity.  The
+    sorted spectrum of the one `eigh` of chi(t) is split where a gap
+    exceeds CLUSTER_TOL times its largest modulus, a cut relative to the
+    spectrum itself, so the clusters are the same at every scale of t.
     """
     chi = complex_embed(t)
-    herm = 0.5 * (chi + chi.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    out: list[tuple[float, QMatrix]] = []
-    start = 0
-    for stop in range(1, vals.size + 1):
-        if stop == vals.size or vals[stop] - vals[stop - 1] > CLUSTER_TOL * scale:
-            block = vecs[:, start:stop]
-            proj_c = block @ block.conj().T
-            out.append((float(vals[start:stop].mean()),
-                        complex_unembed(proj_c, tol=1e-7)))
-            start = stop
-    return out
+    vals, vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))
+    cuts = np.flatnonzero(
+        np.diff(vals) > CLUSTER_TOL * np.abs(vals).max(initial=0.0)) + 1
+    return [(float(block_vals.mean()),
+             complex_unembed(block @ block.conj().T, tol=1e-7))
+            for block_vals, block in zip(np.split(vals, cuts),
+                                         np.split(vecs, cuts, axis=1))]
 
 
 # ---------------------------------------------------------------------------
-# Gram-Schmidt over the quaternions
+# anti-selfadjoint operators: the guard, the polar decomposition
 
 
-def gram_schmidt_h(vectors, tol: float = DEFAULT_TOL) -> list[QVector]:
-    """Right-quaternionic Gram-Schmidt with column rejection below tol."""
-    basis: list[QVector] = []
-    for v in vectors:
-        w = v
-        for b in basis:
-            w = w - b * inner(b, w)
-        nrm = w.norm()
-        if nrm > tol:
-            basis.append(w * (1.0 / nrm))
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# polar decomposition of anti-selfadjoint operators
+def require_antiselfadjoint(a: QMatrix, what: str) -> None:
+    """Raise NotAntiSelfAdjoint unless |A + A*| <= DEFAULT_TOL |A|, a test
+    relative to A at every scale: both norms are taken of A binary_scaled,
+    so neither overflows nor underflows.  A zero A passes; a NaN or an
+    infinite entry fails."""
+    s = QMatrix(binary_scaled(a.data))
+    res = _frob(s + s.H) / max(_frob(s), np.finfo(float).tiny)
+    if not res <= DEFAULT_TOL:
+        raise NotAntiSelfAdjoint(
+            f"{what} must be anti-selfadjoint (relative residual {res:.2e})")
 
 
 def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME
@@ -416,38 +402,35 @@ def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME
     """Factor A = J * M with M = |A| positive and J a unitary anti-selfadjoint
     square root of -I commuting with M.
 
-    On the range of A the factor J = A M^+ is forced; on the kernel J acts
-    as right multiplication by frame.i on a deterministic orthonormal
-    kernel basis, which keeps J unitary with J^2 = -I.
+    Both factors are read off the one `eigh` of chi(A)/i = V diag(lam) V*:
+    M = V diag(|lam|) V*, and on the range of A, J = V diag(i sign lam) V*
+    is the sign of the spectrum, the factor that A = J M forces there.  An
+    eigenvalue is in the kernel when |lam| <= DEFAULT_TOL max |lam|, a cut
+    relative to the spectrum, so J is the same at every scale of A.  On the
+    kernel, with projector P, J is right multiplication by frame.i on an
+    orthonormal basis B picked from P column by column: each pick is the
+    column of (I - BB*)P of largest norm, at least sqrt((k - j)/n) after j
+    of the k picks, so no second cut decides anything.  J is therefore a
+    function of A and the frame, unitary with J^2 = -I.
     """
-    anti_res = relative_residual(lambda x: x + x.H, a)
-    if not anti_res <= DEFAULT_TOL:
-        raise NotAntiSelfAdjoint(
-            f"relative residual {anti_res:.3e} exceeds {DEFAULT_TOL:.1e}")
+    require_antiselfadjoint(a, "polar decomposition input")
     chi = complex_embed(a, frame)
-    herm = (chi - chi.conj().T) / 2j          # hermitian part of chi/i
-    vals, vecs = np.linalg.eigh(herm)
-    n2 = vals.size
-    kernel_cut = 1e-10 * max(1.0, float(np.abs(vals).max(initial=0.0)))
-    nonzero = np.abs(vals) > kernel_cut
-
-    modulus_c = (vecs * np.abs(vals)) @ vecs.conj().T
-    inv = np.zeros(n2)
-    inv[nonzero] = 1.0 / np.abs(vals[nonzero])
-    unitary_range_c = chi @ ((vecs * inv) @ vecs.conj().T)
-
-    modulus = complex_unembed(modulus_c, frame, tol=1e-8)
-    j_op = complex_unembed(unitary_range_c, frame, tol=1e-8)
-
-    kernel = vecs[:, ~nonzero]
-    if kernel.shape[1]:
-        # psi^-1 of every kernel eigenvector at once: an (n, k, 4) block
-        half = n2 // 2
-        cols = symplectic_join(kernel[:half], -kernel[half:].conj(), frame)
-        kernel_basis = gram_schmidt_h(
-            [QVector(c) for c in np.swapaxes(cols, 0, 1)], tol=1e-8)
+    vals, vecs = np.linalg.eigh((chi - chi.conj().T) / 2j)
+    kernel = np.abs(vals) <= DEFAULT_TOL * np.abs(vals).max(initial=0.0)
+    modulus = complex_unembed((vecs * np.abs(vals)) @ vecs.conj().T, frame,
+                              tol=1e-8)
+    ranged = vecs[:, ~kernel]
+    j_op = complex_unembed((ranged * (1j * np.sign(vals[~kernel])))
+                           @ ranged.conj().T, frame, tol=1e-8)
+    if kernel.any():
+        rest = complex_unembed(vecs[:, kernel] @ vecs[:, kernel].conj().T,
+                               frame, tol=1e-8)
         iq = frame.i.as_quaternion()
-        for b in kernel_basis:
+        for _ in range(int(kernel.sum()) // 2):
+            col = rest.column(int(np.argmax(
+                np.linalg.norm(rest.data, axis=(0, 2)))))
+            b = col * (1.0 / col.norm())
+            rest = rest - outer(b, b) @ rest
             j_op = j_op + outer(b * iq, b)
     return j_op, modulus
 
@@ -471,10 +454,7 @@ def expm_antihermitian(m: np.ndarray) -> np.ndarray:
 def expm_antiselfadjoint(a: QMatrix) -> QMatrix:
     """exp(A) for anti-selfadjoint A, via the complex embedding.
 
-    Raises StructureError when A is not anti-selfadjoint within
-    DEFAULT_TOL relative to its norm, at any scale of A and on a NaN."""
-    res = relative_residual(lambda x: x + x.H, a)
-    if not res <= DEFAULT_TOL:
-        raise StructureError(
-            f"exponent must be anti-selfadjoint (relative residual {res:.2e})")
+    Raises NotAntiSelfAdjoint when A is not anti-selfadjoint (see
+    require_antiselfadjoint)."""
+    require_antiselfadjoint(a, "exponent")
     return complex_unembed(expm_antihermitian(complex_embed(a)), tol=1e-8)

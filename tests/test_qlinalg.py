@@ -27,7 +27,6 @@ from qreduce.qlinalg import (
     embed_vector,
     expm_antihermitian,
     expm_antiselfadjoint,
-    gram_schmidt_h,
     inner,
     operator_norm,
     outer,
@@ -268,6 +267,22 @@ def test_spectral_projections_partition_identity():
         assert (rebuilt - t).frob() <= 1e-7 * max(1.0, t.frob())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_projections_invariant_under_scaling():
+    """The clusters are cut relative to the spectrum, so a scaled operator
+    has the same projections, not one projection below unit scale."""
+    rng = np.random.default_rng(17)
+    t = sampling.selfadjoint(rng, 3)
+    expected = spectral_projections(t)
+    assert len(expected) == 3
+    for c in (1e-8, 1e-150, 1e150):
+        got = spectral_projections(t * c)
+        assert len(got) == len(expected), c
+        for (lam, proj), (lam_1, proj_1) in zip(got, expected):
+            assert abs(lam / c - lam_1) <= 1e-12 * abs(lam_1), c
+            assert (proj - proj_1).frob() <= 1e-10, c
+
+
 def test_polar_antiselfadjoint_diagonal_example():
     a = QMatrix.diag([E1 * 2.0, E2 * 3.0])
     j, m = polar_antiselfadjoint(a)
@@ -305,6 +320,39 @@ def test_polar_antiselfadjoint_postconditions_random():
         assert vals.min() >= -1e-9 * scale
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polar_antiselfadjoint_invariant_under_scaling():
+    """J is the sign of the spectrum and the kernel is cut relative to it,
+    so J(cA) = J(A) and J |cA| = cA at every scale c."""
+    rng = np.random.default_rng(18)
+    a = sampling.antiselfadjoint(rng, 3)
+    j, _ = polar_antiselfadjoint(a)
+    for c in (1e-11, 1e-150, 1e150):
+        jc, mc = polar_antiselfadjoint(a * c)
+        assert (jc - j).frob() <= 1e-12, c
+        # compared at unit scale: a squared entry of c A under- or overflows
+        assert ((jc @ mc - a * c) * (1.0 / c)).frob() <= 1e-12 * a.frob(), c
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polar_antiselfadjoint_kernel_is_a_function_of_a():
+    """On a singular A the kernel basis is picked from the kernel projector,
+    not from the eigensolver's basis, so scaling A or conjugating it there
+    and back leaves J unchanged."""
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        units = [sampling.imaginary_unit(rng).as_quaternion() * (1.0 + k)
+                 for k in range(2)]
+        u = sampling.unitary(rng, 4)
+        a = u @ QMatrix.diag(units + [Quaternion(), Quaternion()]) @ u.H
+        a = (a - a.H) * 0.5
+        j, _ = polar_antiselfadjoint(a)
+        v = sampling.unitary(rng, 4)
+        for other in (a * 3.0, v.H @ (v @ a @ v.H) @ v):
+            assert (polar_antiselfadjoint(other)[0] - j).frob() <= 1e-12
+        assert (j @ j + QMatrix.identity(4)).frob() <= 1e-12
+
+
 def test_polar_invertible_reproduces_input():
     rng = np.random.default_rng(13)
     units = [sampling.imaginary_unit(rng).as_quaternion() for _ in range(3)]
@@ -318,6 +366,8 @@ def test_polar_rejects_non_antiselfadjoint():
         polar_antiselfadjoint(QMatrix.identity(2))
     with pytest.raises(NotAntiSelfAdjoint):           # |A| overflows
         polar_antiselfadjoint(QMatrix.identity(2) * 1e200)
+    with pytest.raises(NotAntiSelfAdjoint):           # relative below 1 too
+        polar_antiselfadjoint(QMatrix.identity(2) * 1e-11)
     with pytest.raises(NotAntiSelfAdjoint):
         polar_antiselfadjoint(QMatrix(np.full((2, 2, 4), np.nan)))
 
@@ -364,20 +414,6 @@ def test_expm_rejects_non_antiselfadjoint():
         expm_antiselfadjoint(QMatrix.identity(2) * 1e200)
     with pytest.raises(StructureError):
         expm_antiselfadjoint(QMatrix(np.full((2, 2, 4), np.nan)))
-
-
-def test_gram_schmidt_h():
-    rng = np.random.default_rng(14)
-    vecs = [sampling.qvector(rng, 4) for _ in range(4)]
-    basis = gram_schmidt_h(vecs)
-    assert len(basis) == 4
-    for a in range(4):
-        for b in range(4):
-            expected = 1.0 if a == b else 0.0
-            assert abs(inner(basis[a], basis[b]) - Quaternion(expected)) <= 1e-11
-    # dependent input collapses
-    dep = [vecs[0], vecs[0] * sampling.quaternion(rng)]
-    assert len(gram_schmidt_h(dep)) == 1
 
 
 def test_outer_is_rank_one_projection_builder():
