@@ -42,8 +42,6 @@ from .quat import (
 )
 from .report import max_residual
 
-RANK_TOL = 1e-10
-
 
 def _check_anti_unitary(j: QMatrix, what: str = "J") -> None:
     ident = QMatrix.identity(j.n)
@@ -104,28 +102,36 @@ def plus_projector_apply(j: QMatrix, v: QVector, frame: Frame) -> QVector:
     return (v - (j @ v) * frame.i.as_quaternion()) * 0.5
 
 
-def _range_basis(cands: np.ndarray, rank: int, what: str) -> np.ndarray:
-    """The `rank` leading left singular vectors of `cands`, an orthonormal
-    basis of its range when its rank is `rank`: the number of singular
-    values above RANK_TOL times the largest.  The candidates are an
-    orthogonal projector applied to a reordered orthonormal basis, so
-    their nonzero singular values are 1; they are not Hermitian, so the
-    basis needs the SVD, not `eigh`."""
-    u, sigma, _ = np.linalg.svd(cands)
-    found = int(np.sum(sigma > RANK_TOL * max(sigma[0], 1e-300)))
-    if found != rank:
-        raise StructureError(f"{what} {found}, expected {rank}")
-    return u[:, :rank]
+def _pivoted_basis(cands: np.ndarray, count: int, maps=()) -> np.ndarray:
+    """`count` orthonormal columns v_m picked from the real or complex
+    columns of `cands`, with (v_m, A v_m, ...) over `maps` one orthonormal
+    family: each v_m is the largest candidate, normalised, and its tuple is
+    then projected off every candidate.
+
+    Each caller's candidates are an orthogonal projector of rank r applied
+    to m orthonormal vectors, so after j picks the largest has norm at
+    least sqrt((r - j (len(maps) + 1)) / m).  No cut decides anything, and
+    the basis is a function of the projector: of (J, i) for H+, of (I, J)
+    for H_R (the first of two equal norms wins)."""
+    picks = []
+    for _ in range(count):
+        norms = np.linalg.norm(cands, axis=0)
+        m = int(np.argmax(norms))
+        v = cands[:, m] / norms[m]
+        picks.append(v)
+        family = np.stack([v] + [a @ v for a in maps], axis=1)
+        cands = cands - family @ (family.conj().T @ cands)
+    return np.stack(picks, axis=1)
 
 
 def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
     """Compute an orthonormal basis of H+ for the pair (J, i).
 
-    The projector P+ is applied to the 2n candidates {delta_m, delta_m*j};
-    the leading left singular vectors of the candidates over the plane of
-    i then give n orthonormal columns.  Complex-linear combinations stay
-    inside H+, so the result is an orthonormal basis of H+ both over the
-    plane of i and quaternionically.
+    The projector P+ is applied to the 2n candidates {delta_m, delta_m*j},
+    and `_pivoted_basis` picks n of them and orthonormalises them over the
+    plane of i, so the basis is a function of (J, i).  Complex-linear
+    combinations stay inside H+, so the result is an orthonormal basis of
+    H+ both over the plane of i and quaternionically.
     """
     _check_anti_unitary(j)
     n = j.n
@@ -140,8 +146,7 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
     # coordinates (v1, conj(v2)) of v = v1 + v2*j are complex-linear for
     # the right action of the plane of i and isometric for its inner product
     v1, v2 = symplectic_split(cands, frame)
-    q = _range_basis(np.concatenate([v1, v2.conj()]), n,
-                     "plus space has complex dimension")
+    q = _pivoted_basis(np.concatenate([v1, v2.conj()]), n)
     basis = symplectic_join(q[:n], q[n:].conj(), frame)
     defect = matmul4(j.data, basis) - mul4(basis, iq)
     worst = float(np.linalg.norm(defect, axis=(0, 2)).max())
@@ -189,25 +194,6 @@ class ComplexifiedSpace:
         return complex(v @ u - 1j * (v @ (self.J @ u)))
 
 
-def _orthonormal_tuples(n: int, maps: list[np.ndarray]) -> np.ndarray:
-    """Greedy basis v_m such that (v_m, A v_m, ...) over `maps` is a real
-    orthonormal family; returns the v_m as columns.  Each v_m is the
-    standard vector with the largest part orthogonal to the family so far,
-    normalised; that part has norm at least sqrt(1 - k/n) with k vectors
-    in the family, so no rounding error is divided by a small norm."""
-    accum = np.zeros((n, 0))
-    picks = []
-    for _ in range(n // (len(maps) + 1)):
-        rest = np.eye(n) - accum @ accum.T
-        norms = np.linalg.norm(rest, axis=0)
-        m = int(np.argmax(norms))
-        v = rest[:, m] / norms[m]
-        picks.append(v)
-        accum = np.concatenate(
-            [accum, np.stack([v] + [a @ v for a in maps], axis=1)], axis=1)
-    return np.stack(picks, axis=1)
-
-
 def internal_complexify(reals: list[np.ndarray],
                         j: np.ndarray) -> ComplexifiedSpace:
     """Turn R^n with an anti-selfadjoint orthogonal J into C^(n/2).
@@ -219,16 +205,13 @@ def internal_complexify(reals: list[np.ndarray],
     n = j.shape[0]
     if n % 2:
         raise DimensionError("internal complexification needs even dimension")
-    scale = max(1.0, np.linalg.norm(j))
-    if (not np.linalg.norm(j + j.T) <= DEFAULT_TOL * scale
-            or not np.linalg.norm(j @ j.T - np.eye(n)) <= DEFAULT_TOL * n):
-        raise StructureError("J must be orthogonal and antisymmetric")
+    _check_anti_unitary(QMatrix.from_real(j))
     mats = [np.asarray(t, dtype=float) for t in reals]
     for t in mats:
         res = relative_residual(lambda x: x @ j - j @ x, t)
         if not res <= DEFAULT_TOL:
             raise DoesNotCommute(res)
-    basis = _orthonormal_tuples(n, [j])
+    basis = _pivoted_basis(np.eye(n), n // 2, [j])
     out = [basis.T @ t @ basis - 1j * (basis.T @ j @ t @ basis) for t in mats]
     return ComplexifiedSpace(n // 2, basis, j, out)
 
@@ -268,10 +251,7 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
         raise DimensionError(
             "internal quaternionification needs dimension divisible by 4")
     for name, op in (("I", i_op), ("J", j_op)):
-        scale = max(1.0, np.linalg.norm(op))
-        if (not np.linalg.norm(op + op.T) <= DEFAULT_TOL * scale
-                or not np.linalg.norm(op @ op.T - np.eye(n)) <= DEFAULT_TOL * n):
-            raise StructureError(f"{name} must be orthogonal and antisymmetric")
+        _check_anti_unitary(QMatrix.from_real(op), name)
     if not np.linalg.norm(i_op @ j_op + j_op @ i_op) <= DEFAULT_TOL * n:
         raise StructureError("I and J must anticommute")
     mats = [np.asarray(t, dtype=float) for t in reals]
@@ -281,7 +261,7 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
             if not res <= DEFAULT_TOL:
                 raise DoesNotCommute(res)
     ji = j_op @ i_op
-    basis = _orthonormal_tuples(n, [i_op, j_op, ji])
+    basis = _pivoted_basis(np.eye(n), n // 4, [i_op, j_op, ji])
     out = []
     for t in mats:
         parts = [basis.T @ t @ basis] + [-(basis.T @ op @ t @ basis)
@@ -349,7 +329,7 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
     cands = (cands - mul4(i_cands, iq) - mul4(matmul4(j_op.data, cands), jq)
              + mul4(matmul4(j_op.data, i_cands), kq)) * 0.25
     coords = np.moveaxis(cands, 1, -1).reshape(4 * n, 4 * n)
-    q = _range_basis(coords, n, "real subspace has dimension")
+    q = _pivoted_basis(coords, n)
     cols = np.moveaxis(q.reshape(n, 4, n), -1, 1)
     left = LeftMultiplication(QMatrix(cols), frame)
 

@@ -227,25 +227,24 @@ def binary_scaled(data: np.ndarray) -> np.ndarray:
 
 
 def relative_residual(residual, t):
-    """|residual(t)| / max(1, |t|) for a map `residual` linear in t (or
-    the norm of such a map), t a QMatrix or a real or complex matrix,
-    with Frobenius norms.
+    """|residual(t)| / |t| for a map `residual` linear in t (or the norm of
+    such a map), t a QMatrix or a real or complex matrix, with Frobenius
+    norms.
 
-    An entry of t of modulus 1 or more makes |t| >= 1, and the quotient is
-    then taken for t scaled by the power of two that puts its largest
-    entry in [1/2, 1) (as in binary_scaled): the scaling is exact and
-    cancels, and neither norm overflows however large t is.  A guard
-    `not relative_residual(...) <= tol` therefore fires at every scale,
-    and on a NaN too."""
+    Both norms are taken of t scaled by the power of two that puts its
+    largest entry in [1/2, 1) (as in binary_scaled): the scaling is exact
+    and cancels, so the quotient is the same at every scale of t and
+    neither norm overflows or underflows.  A zero t gives 0, and a guard
+    `not relative_residual(...) <= tol` fires on a NaN."""
     quaternionic = isinstance(t, QMatrix)
     data = t.data if quaternionic else np.asarray(t)
-    peak = np.abs(data).max()
-    if peak < 1.0:
-        return _frob(residual(t)) / max(1.0, _frob(t))
-    scaled = data * np.ldexp(1.0, -np.frexp(peak)[1])
+    exponent = np.frexp(np.abs(data).max(initial=0.0))[1]
+    scaled = np.ldexp(data.real, -exponent)
+    if np.iscomplexobj(data):
+        scaled = scaled + 1j * np.ldexp(data.imag, -exponent)
     if quaternionic:
         scaled = QMatrix(scaled)
-    return _frob(residual(scaled)) / _frob(scaled)
+    return _frob(residual(scaled)) / max(_frob(scaled), np.finfo(float).tiny)
 
 
 def _frob(t) -> float:
@@ -253,7 +252,8 @@ def _frob(t) -> float:
 
 
 def commutator_residual(op: QMatrix, t: QMatrix) -> float:
-    """|[op, t]| / max(1, |t|) at any scale of t (see relative_residual)."""
+    """|[op, t]| / |t|, the same at every scale of t (see
+    relative_residual)."""
     return relative_residual(lambda x: op @ x - x @ op, t)
 
 
@@ -288,7 +288,8 @@ def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
     """Left inverse of :func:`complex_embed`.
 
     Raises NotInImage when the block symmetry is violated beyond
-    tol * max(1, |mat|), at any scale of mat; the symmetric part of the blocks is used for the
+    tol * |mat|, a test relative to mat at every scale (see
+    relative_residual); the symmetric part of the blocks is used for the
     reconstruction, so roundoff-level violations are averaged away.
     """
     mat = np.asarray(mat, dtype=complex)
@@ -387,11 +388,9 @@ def spectral_projections(t: QMatrix) -> list[tuple[float, QMatrix]]:
 
 def require_antiselfadjoint(a: QMatrix, what: str) -> None:
     """Raise NotAntiSelfAdjoint unless |A + A*| <= DEFAULT_TOL |A|, a test
-    relative to A at every scale: both norms are taken of A binary_scaled,
-    so neither overflows nor underflows.  A zero A passes; a NaN or an
-    infinite entry fails."""
-    s = QMatrix(binary_scaled(a.data))
-    res = _frob(s + s.H) / max(_frob(s), np.finfo(float).tiny)
+    relative to A at every scale (see relative_residual).  A zero A passes;
+    a NaN or an infinite entry fails."""
+    res = relative_residual(lambda x: x + x.H, a)
     if not res <= DEFAULT_TOL:
         raise NotAntiSelfAdjoint(
             f"{what} must be anti-selfadjoint (relative residual {res:.2e})")

@@ -825,14 +825,14 @@ def test_algebra_draws_random_numbers_only_in_reduce_system():
 
 def test_spectral_calls_only_in_decision_helpers():
     """Every rank or spectral decision of the package is made in one of
-    six functions, so each decision has one place to report its margin
+    five functions, so each decision has one place to report its margin
     from: the commutant and generated-algebra ranks (`algebra`), the
-    plus-space and real-subspace ranks (`functors`), the eigensphere
-    clusters and the polar kernel cut (`qlinalg`), and the exponential,
-    which decides nothing but needs the spectrum."""
-    allowed = {"_nullspace_rows", "_row_span", "_range_basis",
-               "spectral_projections", "polar_antiselfadjoint",
-               "expm_antihermitian"}
+    eigensphere clusters and the polar kernel cut (`qlinalg`), and the
+    exponential, which decides nothing but needs the spectrum.  The
+    plus-space and real-subspace bases of `functors` are pivoted picks
+    and decide nothing."""
+    allowed = {"_nullspace_rows", "_row_span", "spectral_projections",
+               "polar_antiselfadjoint", "expm_antihermitian"}
     offenders = set()
     for path in Path(algebra_module.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:

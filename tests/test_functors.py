@@ -166,6 +166,20 @@ def test_split_unitary_conjugation_moves_basis():
         assert ((moved @ w) - w * iq).norm() <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_split_basis_is_a_function_of_j(n):
+    """J and (J U) U* differ by rounding only, so their plus bases agree:
+    the basis is picked from the columns of P+, a function of (J, i)."""
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        j = sampling.anti_unit(rng, n)
+        u = sampling.unitary(rng, n)
+        unit = sampling.imaginary_unit(rng)
+        basis = split_plus_minus(j, unit).basis
+        moved = split_plus_minus((j @ u) @ u.H, unit).basis
+        assert np.abs(basis.data - moved.data).max() <= 1e-12
+
+
 def components(v: QVector, space: SplitSpace) -> tuple[np.ndarray, np.ndarray]:
     """Plus-basis coordinates (v1, v2), v = sum_m b_m v1_m + sum_m b_m v2_m * j.
 
@@ -270,6 +284,18 @@ def test_restrict_requires_commutation():
     # the squared entries overflow at this scale; the guard fires anyway
     with pytest.raises(DoesNotCommute):
         restrict_to_plus(sampling.qmatrix(rng, n) * 1e200, space)
+
+
+def test_restrict_requires_commutation_at_small_scale():
+    """The commutation guard is relative at every scale: 1e-11 X and
+    1e-300 X are rejected like X, for an X that does not commute with J."""
+    rng = np.random.default_rng(8)
+    n = 3
+    space = split_plus_minus(sampling.anti_unit(rng, n), UNIT_E1)
+    x = sampling.qmatrix(rng, n)
+    for scale in (1e-11, 1e-300):
+        with pytest.raises(DoesNotCommute):
+            restrict_to_plus(x * scale, space)
 
 
 def test_complex_op_roundtrip_through_quaternions():
@@ -494,3 +520,19 @@ def test_left_mult_structure_errors():
     with pytest.raises(StructureError):                    # NaN operator
         real_subspace_and_left_mult(
             QMatrix(np.full((2, 2, 4), np.nan)), QMatrix.diag([E2, E2]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_real_basis_is_a_function_of_the_pair(n):
+    """(I, J) and ((I U) U*, (J U) U*) differ by rounding only, so their
+    H_R bases agree."""
+    rng = np.random.default_rng(50 + n)
+    for _ in range(5):
+        w = sampling.unitary(rng, n)
+        i_op = w @ QMatrix.diag([E1] * n) @ w.H
+        j_op = w @ QMatrix.diag([E2] * n) @ w.H
+        u = sampling.unitary(rng, n)
+        basis = real_subspace_and_left_mult(i_op, j_op).real_basis
+        moved = real_subspace_and_left_mult((i_op @ u) @ u.H,
+                                            (j_op @ u) @ u.H).real_basis
+        assert np.abs(basis.data - moved.data).max() <= 1e-12

@@ -202,6 +202,17 @@ def test_unembed_roundtrip_and_rejection():
     assert block_symmetry_residual(np.eye(4, dtype=complex)) == 0.0
 
 
+def test_unembed_rejects_at_every_scale():
+    """The block-symmetry test is relative to the matrix at every scale, so
+    a random complex matrix far from the image is rejected at 1e-11 and
+    1e-300 as at scale 1."""
+    rng = np.random.default_rng(6)
+    mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    for scale in (1.0, 1e-11, 1e-300):
+        with pytest.raises(NotInImage):
+            complex_unembed(mat * scale)
+
+
 def test_vector_embedding_intertwines():
     rng = np.random.default_rng(6)
     for _ in range(30):
