@@ -5,10 +5,11 @@ The package is one pipeline: scalar quaternions and frames (`quat`) feed
 right-linear matrices and their complex embedding (`qlinalg`); the
 commutant of an operator *-algebra, a real-linear nullspace, gives the
 R/C/H verdict (`algebra`); the H+ splitting and restriction (`functors`)
-reduce a complex-induced system to its component space.  Hamiltonian
-evolution, transition probabilities and the co-unitary construction
-(`dynamics`) back the `demo` commands and two `verify` properties; the
-CLI (`cli`) drives the registered verification suites (`verify`).
+reduce a complex-induced system to its component space, and a
+real-induced one carries a left multiplication built from its (I, J).
+Hamiltonian evolution and transition probabilities (`dynamics`) back the
+`demo` command and a `verify` property; the CLI (`cli`) drives the
+registered verification suites (`verify`).
 """
 
 __version__ = "0.1.0"
@@ -64,7 +65,6 @@ from .algebra import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     Hamiltonian,
-    counitary_demo,
     evolve,
     transition_probs,
 )

@@ -55,6 +55,7 @@ from .qlinalg import (
     commutator_residual,
     complex_matrix_to_json,
     outer,
+    relative_residual,
     spectral_projections,
 )
 from .quat import QTENSOR, ImaginaryUnit, conj4, matmul4
@@ -89,10 +90,10 @@ class CommutantBasis:
         return self.mat.reshape(-1, n, n, 4)
 
     def membership_residual(self, t: QMatrix) -> float:
-        """Relative least-squares distance of t from the spanned subspace."""
-        x = vec(t)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        return float(np.linalg.norm(x - self.mat.T @ (self.mat @ x))) / scale
+        """Least-squares distance of t from the spanned subspace relative
+        to |t|, the same at every scale of t (see relative_residual)."""
+        return relative_residual(lambda x: x - self.mat.T @ (self.mat @ x),
+                                 vec(t))
 
 
 @functools.lru_cache(maxsize=None)

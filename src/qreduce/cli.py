@@ -43,7 +43,7 @@ from .algebra import (
     reduce_system,
     reducibility_witness,
 )
-from .dynamics import Hamiltonian, counitary_demo, evolution_trace, transition_probs
+from .dynamics import Hamiltonian, evolution_trace, transition_probs
 from .errors import QReduceError
 from .functors import split_plus_minus
 from .qlinalg import (
@@ -343,49 +343,18 @@ def _demo_adler(seed: int) -> tuple[list[Check], dict]:
                     "trace": trace}
 
 
-def _demo_counitary(seed: int) -> tuple[list[Check], dict]:
-    n = 3
-    rng = np.random.default_rng(seed)
-    hq = sampling.unit_quaternion(rng)
-    unitaries = [sampling.unitary(rng, n) for _ in range(3)]
-    result = counitary_demo(hq, unitaries, seed=seed)
-    checks = [Check("counitary_rmqq", result.max_rmqq_residual, 1e-10)]
-    min_sep = result.central_distances[np.triu_indices(3, 1)].min()
-    checks.append(Check("counitary_candidates_differ",
-                        max_residual(0.0, 0.1 - min_sep), 0.0))
-    return checks, {
-        "which": "counitary",
-        "seed": seed,
-        "automorphism_phase": hq.to_json(),
-        "rmqq_residuals": [float(r) for r in result.rmqq_residuals],
-        "candidate_distances": result.distances.tolist(),
-        "central_distances": result.central_distances.tolist(),
-    }
-
-
-def _print_demo_tables(arts: dict) -> None:
-    if arts["which"] == "adler":
-        print(f"{'pair':>10s} {'section':>12s} {'pC':>12s} {'pS':>12s} "
-              f"{'pH':>12s}", file=sys.stderr)
-        for row in arts["table"]:
-            print(f"{row['pair']:>10s} {row['section']:>12s} "
-                  f"{row['pC']:12.3e} {row['pS']:12.3e} {row['pH']:12.3e}",
-                  file=sys.stderr)
-    else:
-        print("candidate left-action distances (modulo central sign):",
+def _print_adler_table(rows: list[dict]) -> None:
+    print(f"{'pair':>10s} {'section':>12s} {'pC':>12s} {'pS':>12s} "
+          f"{'pH':>12s}", file=sys.stderr)
+    for row in rows:
+        print(f"{row['pair']:>10s} {row['section']:>12s} "
+              f"{row['pC']:12.3e} {row['pS']:12.3e} {row['pH']:12.3e}",
               file=sys.stderr)
-        for line in arts["central_distances"]:
-            print("  " + "  ".join(f"{x:8.4f}" for x in line), file=sys.stderr)
 
 
 def cmd_demo(args) -> int:
-    if args.which == "adler":
-        checks, artifacts = _demo_adler(args.seed)
-    elif args.which == "counitary":
-        checks, artifacts = _demo_counitary(args.seed)
-    else:
-        raise UsageError(f"unknown demo {args.which!r}")
-    _print_demo_tables(artifacts)
+    checks, artifacts = _demo_adler(args.seed)
+    _print_adler_table(artifacts["table"])
     return _finish("demo", checks, artifacts, args)
 
 
@@ -436,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a built-in demonstration")
     common(p_demo)
-    p_demo.add_argument("which", choices=["adler", "counitary"])
+    p_demo.add_argument("which", choices=["adler"])
     p_demo.set_defaults(func=cmd_demo)
     return parser
 

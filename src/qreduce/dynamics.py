@@ -1,5 +1,5 @@
-"""Dynamics of anti-selfadjoint Hamiltonians, the component-space
-comparison of transition probabilities and co-unitary transformations.
+"""Dynamics of anti-selfadjoint Hamiltonians and the component-space
+comparison of transition probabilities.
 
 The flow is f(t) = exp(-t H) v for an anti-selfadjoint H, computed through
 the complex embedding.
@@ -8,24 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NormalizationError, StructureError
+from .errors import NormalizationError
 from .qlinalg import (
     QMatrix,
     QVector,
-    classify_operator,
     complex_embed,
     embed_vector,
     expm_antihermitian,
     inner,
-    operator_norm,
     polar_antiselfadjoint,
     require_antiselfadjoint,
     unembed_vector,
 )
-from .quat import Frame, Quaternion, STANDARD_FRAME, symplectic_split
-from .report import max_residual
+from .quat import Frame, STANDARD_FRAME, symplectic_split
 
 
 @dataclass(frozen=True)
@@ -84,75 +79,3 @@ def transition_probs(v: QVector, u: QVector,
     p_symplectic = abs(z2) ** 2
     p_quaternionic = abs(q) ** 2
     return p_complex, p_symplectic, p_quaternionic
-
-
-# ---------------------------------------------------------------------------
-# co-unitary transformations
-
-
-@dataclass(frozen=True)
-class CounitaryReport:
-    """Co-unitary compatibility residuals and the distances between the
-    induced left-action candidates for a family of unitaries.
-
-    Every unitary U yields a co-unitary map v -> (Uv) * h^-1 for the inner
-    automorphism of h, and the induced candidate left action is U itself;
-    large central distances between candidates show the construction does
-    not single out a left multiplication.
-    """
-
-    rmqq_residuals: list[float]
-    distances: np.ndarray          # raw operator-norm distances
-    central_distances: np.ndarray  # distances modulo the central sign
-
-    @property
-    def max_rmqq_residual(self) -> float:
-        return max_residual(*self.rmqq_residuals)
-
-
-def counitary_demo(hq: Quaternion, u_list: list[QMatrix], trials: int = 8,
-                   seed: int = 0) -> CounitaryReport:
-    """Verify the co-unitary identities and compare induced left actions.
-
-    For phi(x) = h x h^-1 and each unitary U, the map U_phi(v) = (Uv)*h^-1
-    satisfies U_phi(v*a) = U_phi(v)*phi(a) and <U_phi v, U_phi u> =
-    phi(<v, u>); the candidates it induces are the U themselves, compared
-    pairwise in operator norm, both raw and modulo the central sign.
-    """
-    if not abs(abs(hq) - 1.0) <= 1e-10:
-        raise NormalizationError("automorphism phase must be a unit quaternion")
-    for u in u_list:
-        if not classify_operator(u).unitary:
-            raise StructureError("co-unitary construction needs unitaries")
-    h_inv = hq.conjugate()
-
-    def phi(a: Quaternion) -> Quaternion:
-        return hq * a * h_inv
-
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for u in u_list:
-        worst = 0.0
-        n = u.n
-        for _ in range(trials):
-            v = QVector(rng.standard_normal((n, 4)))
-            w = QVector(rng.standard_normal((n, 4)))
-            a = Quaternion.from_array(rng.standard_normal(4))
-            lhs = (u @ (v * a)) * h_inv
-            rhs = ((u @ v) * h_inv) * phi(a)
-            worst = max_residual(worst, (lhs - rhs).norm())
-            got = inner((u @ v) * h_inv, (u @ w) * h_inv)
-            want = phi(inner(v, w))
-            worst = max_residual(worst, abs(got - want))
-        residuals.append(worst)
-
-    m = len(u_list)
-    distances = np.zeros((m, m))
-    central = np.zeros((m, m))
-    for a_idx in range(m):
-        for b_idx in range(a_idx + 1, m):
-            diff = operator_norm(u_list[a_idx] - u_list[b_idx])
-            summed = operator_norm(u_list[a_idx] + u_list[b_idx])
-            distances[a_idx, b_idx] = distances[b_idx, a_idx] = diff
-            central[a_idx, b_idx] = central[b_idx, a_idx] = min(diff, summed)
-    return CounitaryReport(residuals, distances, central)

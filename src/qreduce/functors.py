@@ -33,7 +33,6 @@ from .quat import (
     Frame,
     ImaginaryUnit,
     Quaternion,
-    STANDARD_FRAME,
     frame_complete,
     matmul4,
     mul4,
@@ -52,6 +51,16 @@ def _check_anti_unitary(j: QMatrix, what: str = "J") -> None:
         raise StructureError(
             f"{what} must be unitary and anti-selfadjoint "
             f"(residuals {anti:.2e}, {gram:.2e})")
+
+
+def _check_pair(i_op: QMatrix, j_op: QMatrix) -> None:
+    """Raise StructureError unless I and J are anti-selfadjoint unitaries
+    that anticommute, |IJ + JI| <= DEFAULT_TOL max(1, |I| |J|)."""
+    _check_anti_unitary(i_op, "I")
+    _check_anti_unitary(j_op, "J")
+    anti = (i_op @ j_op + j_op @ i_op).frob()
+    if not anti <= DEFAULT_TOL * max(1.0, i_op.frob() * j_op.frob()):
+        raise StructureError(f"I and J must anticommute (residual {anti:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +259,7 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
     if n % 4:
         raise DimensionError(
             "internal quaternionification needs dimension divisible by 4")
-    for name, op in (("I", i_op), ("J", j_op)):
-        _check_anti_unitary(QMatrix.from_real(op), name)
-    if not np.linalg.norm(i_op @ j_op + j_op @ i_op) <= DEFAULT_TOL * n:
-        raise StructureError("I and J must anticommute")
+    _check_pair(QMatrix.from_real(i_op), QMatrix.from_real(j_op))
     mats = [np.asarray(t, dtype=float) for t in reals]
     for t in mats:
         for op in (i_op, j_op):
@@ -277,14 +283,13 @@ def internal_quaternionify(reals: list[np.ndarray], i_op: np.ndarray,
 @dataclass(frozen=True)
 class LeftMultiplication:
     """Left scalar action generated by an orthonormal basis of the real
-    subspace H_R = {v : Iv = v*i, Jv = v*j}.
+    subspace H_R = {v : Iv = v*e1, Jv = v*e2}.
 
     M_a v = sum_l b_l * a * <b_l, v>; the map a -> M_a is a unital algebra
     homomorphism and every M_a is right-linear.
     """
 
     real_basis: QMatrix        # columns form the basis of H_R
-    frame: Frame
 
     @property
     def n(self) -> int:
@@ -295,35 +300,30 @@ class LeftMultiplication:
         return b @ QMatrix.scalar(self.n, a) @ b.H
 
     def unit_mats(self) -> tuple[QMatrix, QMatrix, QMatrix]:
-        return (self.mat(self.frame.i.as_quaternion()),
-                self.mat(self.frame.j.as_quaternion()),
-                self.mat(self.frame.k.as_quaternion()))
+        """M_a for a = e1, e2, e3."""
+        return tuple(self.mat(Quaternion.from_array(unit))
+                     for unit in np.eye(4)[1:])
 
 
-def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
-                                frame: Frame = STANDARD_FRAME
-                                ) -> LeftMultiplication:
+def real_subspace_and_left_mult(i_op: QMatrix,
+                                j_op: QMatrix) -> LeftMultiplication:
     """Extract H_R from an anticommuting pair of anti-selfadjoint unitaries
     and build the left multiplication it generates.
 
-    The recovered action satisfies M_i = I, M_j = J and M_k = I J within
-    1e-9 (M is a homomorphism, so the unit along k is the product of the
-    units along i and j).
+    The recovered action satisfies M_e1 = I, M_e2 = J and M_e3 = I J within
+    1e-9 (M is a homomorphism, so the unit along e3 is the product of the
+    units along e1 and e2).
     """
-    _check_anti_unitary(i_op, "I")
-    _check_anti_unitary(j_op, "J")
+    _check_pair(i_op, j_op)
     n = i_op.n
-    anti = (i_op @ j_op + j_op @ i_op).frob()
-    if not anti <= DEFAULT_TOL * max(1.0, i_op.frob() * j_op.frob()):
-        raise StructureError(f"I and J must anticommute (residual {anti:.2e})")
 
-    iq, jq, kq = (u.as_quaternion().as_array()
-                  for u in (frame.i, frame.j, frame.k))
-    # columns delta_m * u for m = 0..n-1 and u in (1, i, j, k), projected
-    # onto H_R by (v - (Iv) i - (Jv) j + (JIv) k) / 4
+    units = np.eye(4)
+    _, iq, jq, kq = units
+    # columns delta_m * u for m = 0..n-1 and u in (1, e1, e2, e3), projected
+    # onto H_R by (v - (Iv) e1 - (Jv) e2 + (JIv) e3) / 4
     m = np.arange(n)
     cands = np.zeros((n, 4 * n, 4))
-    for col, unit in enumerate((np.array([1.0, 0.0, 0.0, 0.0]), iq, jq, kq)):
+    for col, unit in enumerate(units):
         cands[m, 4 * m + col] = unit
     i_cands = matmul4(i_op.data, cands)
     cands = (cands - mul4(i_cands, iq) - mul4(matmul4(j_op.data, cands), jq)
@@ -331,7 +331,7 @@ def real_subspace_and_left_mult(i_op: QMatrix, j_op: QMatrix,
     coords = np.moveaxis(cands, 1, -1).reshape(4 * n, 4 * n)
     q = _pivoted_basis(coords, n)
     cols = np.moveaxis(q.reshape(n, 4, n), -1, 1)
-    left = LeftMultiplication(QMatrix(cols), frame)
+    left = LeftMultiplication(QMatrix(cols))
 
     m_i, m_j, m_k = left.unit_mats()
     worst = max_residual((m_i - i_op).frob(), (m_j - j_op).frob(),

@@ -226,35 +226,30 @@ def binary_scaled(data: np.ndarray) -> np.ndarray:
     return np.ldexp(data, -np.frexp(peak)[1])
 
 
-def relative_residual(residual, t):
+def relative_residual(residual, t: np.ndarray) -> float:
     """|residual(t)| / |t| for a map `residual` linear in t (or the norm of
-    such a map), t a QMatrix or a real or complex matrix, with Frobenius
-    norms.
+    such a map), t a real or complex matrix or a quaternionic component
+    array, with Frobenius norms.
 
     Both norms are taken of t scaled by the power of two that puts its
     largest entry in [1/2, 1) (as in binary_scaled): the scaling is exact
     and cancels, so the quotient is the same at every scale of t and
     neither norm overflows or underflows.  A zero t gives 0, and a guard
     `not relative_residual(...) <= tol` fires on a NaN."""
-    quaternionic = isinstance(t, QMatrix)
-    data = t.data if quaternionic else np.asarray(t)
-    exponent = np.frexp(np.abs(data).max(initial=0.0))[1]
-    scaled = np.ldexp(data.real, -exponent)
-    if np.iscomplexobj(data):
-        scaled = scaled + 1j * np.ldexp(data.imag, -exponent)
-    if quaternionic:
-        scaled = QMatrix(scaled)
-    return _frob(residual(scaled)) / max(_frob(scaled), np.finfo(float).tiny)
-
-
-def _frob(t) -> float:
-    return float(np.linalg.norm(t.data if isinstance(t, QMatrix) else t))
+    t = np.asarray(t)
+    exponent = np.frexp(np.abs(t).max(initial=0.0))[1]
+    scaled = np.ldexp(t.real, -exponent)
+    if np.iscomplexobj(t):
+        scaled = scaled + 1j * np.ldexp(t.imag, -exponent)
+    return float(np.linalg.norm(residual(scaled))) / max(
+        float(np.linalg.norm(scaled)), np.finfo(float).tiny)
 
 
 def commutator_residual(op: QMatrix, t: QMatrix) -> float:
     """|[op, t]| / |t|, the same at every scale of t (see
     relative_residual)."""
-    return relative_residual(lambda x: op @ x - x @ op, t)
+    return relative_residual(
+        lambda x: matmul4(op.data, x) - matmul4(x, op.data), t.data)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +385,8 @@ def require_antiselfadjoint(a: QMatrix, what: str) -> None:
     """Raise NotAntiSelfAdjoint unless |A + A*| <= DEFAULT_TOL |A|, a test
     relative to A at every scale (see relative_residual).  A zero A passes;
     a NaN or an infinite entry fails."""
-    res = relative_residual(lambda x: x + x.H, a)
+    res = relative_residual(lambda x: x + conj4(np.swapaxes(x, 0, 1)),
+                            a.data)
     if not res <= DEFAULT_TOL:
         raise NotAntiSelfAdjoint(
             f"{what} must be anti-selfadjoint (relative residual {res:.2e})")

@@ -29,11 +29,12 @@ from .algebra import (
     reduce_system,
     subspace_gap,
 )
-from .dynamics import counitary_demo, transition_probs
+from .dynamics import transition_probs
 from .functors import (
     extend_from_plus,
     internal_complexify,
     internal_quaternionify,
+    real_subspace_and_left_mult,
     restrict_to_plus,
     split_plus_minus,
 )
@@ -42,16 +43,19 @@ from .qlinalg import (
     QVector,
     classify_operator,
     commutator_norm,
+    commutator_residual,
     complex_embed,
     expm_antihermitian,
     expm_antiselfadjoint,
     operator_norm,
     polar_antiselfadjoint,
+    relative_residual,
 )
 from .quat import (
     QTENSOR,
     Quaternion,
     frame_complete,
+    matmul4,
     sphere_representative,
     symplectic_join,
     symplectic_split,
@@ -483,25 +487,42 @@ prop_polar = _per_dim(_polar_trial)
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: co-unitary non-uniqueness
+# criterion 9: a left multiplication exactly on real-induced systems
 
 
-def prop_counitary(seed_seq, dims, trials):
-    rng = _rng(seed_seq)
-    n = max(dims)
-    hq = sampling.unit_quaternion(rng)
-    u1 = sampling.unitary(rng, n)
-    u2 = sampling.unitary(rng, n)
-    report = counitary_demo(hq, [QMatrix.identity(n), u1, -u1, u2],
-                            trials=max(4, trials // 10), seed=7)
-    separation = report.central_distances[1, 3]
+def _left_multiplication_trial(rng, n, index):
+    """The paper's closing argument on irreducible systems: a compatible
+    left multiplication is an embedding of H into the commutant, so one
+    exists iff the kind is RealInduced.  The classifier's (I, J) of a
+    real-induced plant gives one that commutes with the generators and
+    makes them real matrices on H_R; a complex-induced plant has a J but
+    no anticommuting partner, so it has none."""
+    misses = 0
+    commutes = real = 0.0
+    gens, _, _ = sampling.plant_real_induced(rng, n)
+    verdict = _planted_verdict(gens, 4, "RealInduced")
+    if verdict is None:
+        misses += 1
+    else:
+        left = real_subspace_and_left_mult(verdict.I, verdict.J)
+        m_a = left.mat(sampling.quaternion(rng))
+        commutes = max_residual(*(commutator_residual(m_a, g) for g in gens))
+        b, b_h = left.real_basis.data, left.real_basis.H.data
+        real = max_residual(*(relative_residual(
+            lambda x: matmul4(matmul4(b_h, x), b)[..., 1:], g.data)
+            for g in gens))
+    gens, _ = sampling.plant_complex_induced(rng, n)
+    if _planted_verdict(gens, 2, "ComplexInduced") is None:
+        misses += 1
     return [
-        Check("counitary_rmqq", report.max_rmqq_residual, 1e-10),
-        Check("counitary_sign_degeneracy", report.central_distances[1, 2],
-              1e-10),
-        Check("counitary_separation", max_residual(0.0, 0.1 - separation),
-              0.0),
+        Check("left_mult_commutes", commutes, 1e-10),
+        Check("left_mult_real_restriction", real, 1e-10),
+        Check("left_mult_rule", float(misses), 0.0),
     ]
+
+
+prop_left_multiplication = _per_dim(_left_multiplication_trial,
+                                    count=lambda trials: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +539,7 @@ PROPERTIES = [
     ("reduction_certificates", prop_reduction),
     ("adler_probabilities", prop_adler_probabilities),
     ("polar_decomposition", prop_polar),
-    ("counitary", prop_counitary),
+    ("left_multiplication", prop_left_multiplication),
 ]
 
 

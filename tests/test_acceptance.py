@@ -99,11 +99,14 @@ def test_criterion_8_polar_decomposition():
                   (2, 3, 4), 100, budget_s=5.0)
 
 
-def test_criterion_9_counitary():
-    """Co-unitary identities hold at 1e-10 while independent unitaries
-    induce left actions separated by at least 0.1 in operator norm."""
-    run_criterion("criterion 9: co-unitary non-uniqueness",
-                  verify.prop_counitary, (2, 3, 4), 100, budget_s=2.0)
+def test_criterion_9_left_multiplication():
+    """A compatible left multiplication exists exactly on real-induced
+    systems: the classifier's (I, J) of a real-induced plant gives one that
+    commutes with the generators and restricts them to real matrices at
+    1e-10, and a complex-induced plant has no I."""
+    run_criterion("criterion 9: left multiplication",
+                  verify.prop_left_multiplication, (2, 3, 4), 100,
+                  budget_s=2.0)
 
 
 def test_full_verify_is_deterministic_and_green():

@@ -488,6 +488,21 @@ def test_commutant_elements_commute_and_are_star_closed():
     assert comm.membership_residual(basis[0] @ basis[1]) <= MEMBERSHIP_TOL
 
 
+def test_membership_residual_is_relative_at_every_scale():
+    """A non-member of a planted commutant reads the same residual at
+    1e-11 and 1e-300 of its scale; a residual divided by max(1, |X|) fell
+    below MEMBERSHIP_TOL there."""
+    rng = np.random.default_rng(2)
+    gens, _ = sampling.plant_complex_induced(rng, 3)
+    comm = commutant(StarAlgebra(gens))
+    x = sampling.qmatrix(rng, 3)
+    base = comm.membership_residual(x)
+    assert base > MEMBERSHIP_TOL
+    for scale in (1e-11, 1e-300):
+        assert comm.membership_residual(x * scale) == pytest.approx(
+            base, rel=1e-12)
+
+
 def test_commutant_idempotent_beyond_first_application():
     rng = np.random.default_rng(3)
     gens, _ = sampling.plant_complex_induced(rng, 2)

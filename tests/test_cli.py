@@ -81,7 +81,8 @@ def test_verify_dimension_streams_ignore_other_dims(capsys):
     alone = n4_residuals("4")
     props = {name.split("/")[0] for name in alone}
     assert props == {"functor_ledger", "splitting", "trichotomy", "bicommutant",
-                     "reduction_certificates", "polar_decomposition"}
+                     "reduction_certificates", "polar_decomposition",
+                     "left_multiplication"}
     assert n4_residuals("2,4") == alone
     assert n4_residuals("4,2") == alone
 
@@ -310,16 +311,6 @@ def test_demo_adler(capsys):
             assert row["pS"] <= 1e-12
 
 
-def test_demo_counitary(capsys):
-    code, report, _ = run_cli(capsys, "demo", "counitary", "--seed", "11")
-    assert code == 0
-    assert report["status"] == "pass"
-    dists = np.asarray(report["artifacts"]["central_distances"])
-    off_diag = dists[np.triu_indices(3, k=1)]
-    assert (off_diag >= 0.1).all()
-    assert max(report["artifacts"]["rmqq_residuals"]) <= 1e-10
-
-
 @pytest.mark.parametrize("command", ["classify", "reduce"])
 def test_tolerance_scale_reaches_classify_and_reduce(tmp_path, capsys,
                                                      monkeypatch, command):
@@ -429,6 +420,7 @@ def test_hostile_cli_input_exits_2(tmp_path, capsys, monkeypatch, case):
     (["classify"], "classify"),
     (["frobnicate"], None),
     ([], None),
+    (["demo", "counitary"], "demo"),         # a removed demo
 ])
 def test_malformed_options_give_usage_report(tmp_path, capsys, argv,
                                              command):
@@ -461,14 +453,14 @@ def test_help_and_version_exit_0_with_text(capsys, argv):
 def test_parser_built_once_per_process(capsys, monkeypatch):
     """main reuses one parser; build_parser still returns a fresh one."""
     assert build_parser() is not build_parser()
-    main(["demo", "counitary"])
+    main(["demo", "adler"])
     capsys.readouterr()
 
     def rebuilt():
         raise AssertionError("main rebuilt its parser")
 
     monkeypatch.setattr(cli, "build_parser", rebuilt)
-    code, report, _ = run_cli(capsys, "demo", "counitary", "--seed", "3")
+    code, report, _ = run_cli(capsys, "demo", "adler", "--seed", "3")
     assert code == 0
     assert report["artifacts"]["seed"] == 3
 
@@ -505,7 +497,7 @@ def test_main_runs_every_openblas_copy_at_one_thread(blas_policy, capsys,
         monkeypatch.setenv(other_variable, "1")
     for lib in cli._openblas_libraries():
         _openblas_function(lib, "set")(2)
-    assert main(["demo", "counitary"]) == 0
+    assert main(["demo", "adler"]) == 0
     pinned = cli._one_blas_thread()
     assert len(pinned) == 1           # numpy's copy; the CLI loads no other
     assert [_openblas_function(lib, "get")() for lib in pinned] == [1]
@@ -521,7 +513,7 @@ def test_user_blas_thread_variable_is_honoured():
         "numpy_copy = cli._openblas_libraries()[0]",
         "before = numpy_copy.scipy_openblas_get_num_threads64_()",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    code = cli.main(['demo', 'counitary'])",
+        "    code = cli.main(['demo', 'adler'])",
         "print(code, before, numpy_copy.scipy_openblas_get_num_threads64_(),",
         "      cli._one_blas_thread() == ())",
     ])
@@ -538,14 +530,14 @@ def test_user_blas_thread_variable_is_honoured():
 
 def test_blas_libraries_looked_up_once_per_process(blas_policy, capsys,
                                                   monkeypatch):
-    main(["demo", "counitary"])
+    main(["demo", "adler"])
     capsys.readouterr()
 
     def looked_up_again():
         raise AssertionError("main looked the BLAS libraries up again")
 
     monkeypatch.setattr(cli, "_openblas_libraries", looked_up_again)
-    code, report, _ = run_cli(capsys, "demo", "counitary", "--seed", "3")
+    code, report, _ = run_cli(capsys, "demo", "adler", "--seed", "3")
     assert code == 0
     assert report["artifacts"]["seed"] == 3
 
@@ -557,7 +549,7 @@ def test_main_runs_when_no_openblas_setter_is_found(blas_policy, capsys,
         monkeypatch.setattr(cli, "_openblas_libraries", lambda: [])
     else:
         monkeypatch.setattr(cli, "_OPENBLAS_SETTERS", ("no_such_setter",))
-    code, report, _ = run_cli(capsys, "demo", "counitary")
+    code, report, _ = run_cli(capsys, "demo", "adler")
     assert code == 0
     assert report["status"] == "pass"
     assert cli._one_blas_thread() == ()

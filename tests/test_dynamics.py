@@ -1,5 +1,4 @@
-"""Tests for evolution, polar factors, transition probabilities and the
-co-unitary construction."""
+"""Tests for evolution, polar factors and transition probabilities."""
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from qreduce import sampling
 from qreduce.dynamics import (
     Hamiltonian,
-    counitary_demo,
     evolve,
     transition_probs,
 )
@@ -112,37 +110,3 @@ def test_transition_probs_agree_on_plus_space():
         p_c, p_s, p_h = transition_probs(v, u, space.frame)
         assert p_s <= 1e-12
         assert abs(p_h - p_c) <= 1e-12
-
-
-def test_counitary_identity_candidate():
-    rng = np.random.default_rng(12)
-    hq = sampling.unit_quaternion(rng)
-    report = counitary_demo(hq, [QMatrix.identity(2)])
-    assert report.max_rmqq_residual <= 1e-10
-
-
-def test_counitary_sign_pair_coincides_centrally():
-    rng = np.random.default_rng(13)
-    u = sampling.unitary(rng, 2)
-    report = counitary_demo(sampling.unit_quaternion(rng), [u, -u])
-    assert report.max_rmqq_residual <= 1e-10
-    assert report.central_distances[0, 1] <= 1e-12
-    assert report.distances[0, 1] == pytest.approx(2.0, abs=1e-9)
-
-
-def test_counitary_independent_unitaries_disagree():
-    rng = np.random.default_rng(14)
-    u1, u2 = sampling.unitary(rng, 3), sampling.unitary(rng, 3)
-    report = counitary_demo(sampling.unit_quaternion(rng), [u1, u2])
-    assert report.max_rmqq_residual <= 1e-10
-    assert report.central_distances[0, 1] >= 0.1
-
-
-def test_counitary_guards():
-    rng = np.random.default_rng(15)
-    with pytest.raises(NormalizationError):
-        counitary_demo(Quaternion(2.0), [QMatrix.identity(2)])
-    with pytest.raises(NormalizationError):
-        counitary_demo(Quaternion(np.nan), [QMatrix.identity(2)])
-    with pytest.raises(StructureError):
-        counitary_demo(sampling.unit_quaternion(rng), [sampling.qmatrix(rng, 2)])

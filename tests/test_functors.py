@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qreduce import sampling
+from qreduce.algebra import StarAlgebra, classify_irreducible
 from qreduce.errors import (
     DimensionError,
     DoesNotCommute,
@@ -536,3 +537,28 @@ def test_real_basis_is_a_function_of_the_pair(n):
         moved = real_subspace_and_left_mult((i_op @ u) @ u.H,
                                             (j_op @ u) @ u.H).real_basis
         assert np.abs(basis.data - moved.data).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_left_multiplication_exactly_on_real_induced_systems(n):
+    """The classifier's (I, J) of a real-induced plant gives a left
+    multiplication with M_i = I and M_j = J, and a complex-induced plant
+    has no I; both hold after conjugation by a unitary and with the
+    generators scaled by 1e-12 and 1e12."""
+    rng = np.random.default_rng(70 + n)
+    real_gens, _, _ = sampling.plant_real_induced(rng, n)
+    complex_gens, _ = sampling.plant_complex_induced(rng, n)
+    u = sampling.unitary(rng, n)
+    for move in (lambda g: g, lambda g: u @ g @ u.H, lambda g: g * 1e-12,
+                 lambda g: g * 1e12):
+        verdict = classify_irreducible(StarAlgebra([move(g)
+                                                    for g in real_gens]))
+        assert verdict.kind == "RealInduced"
+        m_i, m_j, _ = real_subspace_and_left_mult(verdict.I,
+                                                  verdict.J).unit_mats()
+        assert (m_i - verdict.I).frob() <= 1e-12
+        assert (m_j - verdict.J).frob() <= 1e-12
+        verdict = classify_irreducible(StarAlgebra([move(g)
+                                                    for g in complex_gens]))
+        assert verdict.kind == "ComplexInduced"
+        assert verdict.I is None

@@ -13,12 +13,11 @@ import qreduce
 from qreduce import sampling
 from qreduce.algebra import StarAlgebra
 
-# Kept without a caller for now: ROADMAP items 1, 2 and 7 (a compatible J
-# for every system, the isotypic decomposition, the left multiplication of
-# a real-induced system) are expected to call them.  The guard below fails
-# when one of them gains a caller, so the set can only shrink.
-AWAITING_CALLERS = {"center", "real_subspace_and_left_mult",
-                    "Hamiltonian.polar_factors"}
+# Kept without a caller for now: ROADMAP items 1 and 2 (a compatible J for
+# every system, the isotypic decomposition) are expected to call them.  The
+# guard below fails when one of them gains a caller, so the set can only
+# shrink.
+AWAITING_CALLERS = {"center", "Hamiltonian.polar_factors"}
 # Methods whose callers live outside the package's own code: the JSON
 # round trips (the wire format) and argparse's error hook.
 EXTERNAL_CALLERS = {"to_json", "from_json", "_Parser.error"}
@@ -182,7 +181,7 @@ import qreduce.cli
 path = sys.argv[1]
 for argv in (["verify", "--seed", "42", "--dims", "2", "--trials", "2"],
              ["classify", path], ["reduce", path],
-             ["demo", "adler"], ["demo", "counitary"]):
+             ["demo", "adler"]):
     report = io.StringIO()
     with contextlib.redirect_stdout(report), contextlib.redirect_stderr(report):
         code = qreduce.cli.main(argv)
@@ -211,4 +210,4 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     path.write_text(json.dumps(StarAlgebra(gens).to_json()))
     out = _run_python("-c", _NO_SCIPY_SCRIPT, str(path))
     assert out.split() == ["verify", "0", "classify", "0", "reduce", "0",
-                           "demo", "0", "demo", "0"]
+                           "demo", "0"]
