@@ -265,17 +265,31 @@ def complex_embed(t: QMatrix | np.ndarray,
     return np.block([[t1, t2], [-t2.conj(), t1.conj()]])
 
 
-def block_symmetry_residual(mat: np.ndarray) -> float:
+def block_symmetry_residual(mat: np.ndarray) -> float | np.ndarray:
     """Frobenius distance of a 2n x 2n complex matrix from the image of the
-    embedding (the set with block form [[A, B], [-conj(B), conj(A)]])."""
-    n2 = mat.shape[0]
-    if mat.shape != (n2, n2) or n2 % 2:
+    embedding (the set with block form [[A, B], [-conj(B), conj(A)]]), or
+    that of each matrix of a (k, 2n, 2n) stack."""
+    n2 = mat.shape[-1]
+    if mat.ndim not in (2, 3) or mat.shape[-2] != n2 or n2 % 2:
         raise DimensionError(f"expected even square matrix, got {mat.shape}")
     n = n2 // 2
-    a, b = mat[:n, :n], mat[:n, n:]
-    c, d = mat[n:, :n], mat[n:, n:]
-    return float(np.sqrt(np.linalg.norm(c + b.conj()) ** 2
-                         + np.linalg.norm(d - a.conj()) ** 2) / np.sqrt(2.0))
+    a, b = mat[..., :n, :n], mat[..., :n, n:]
+    c, d = mat[..., n:, :n], mat[..., n:, n:]
+    residual = np.sqrt(np.linalg.norm(c + b.conj(), axis=(-2, -1)) ** 2
+                       + np.linalg.norm(d - a.conj(), axis=(-2, -1)) ** 2
+                       ) / np.sqrt(2.0)
+    return float(residual) if mat.ndim == 2 else residual
+
+
+def _unembedded_data(mat: np.ndarray, frame: Frame) -> np.ndarray:
+    """Component array of the quaternionic matrix whose embedding has the
+    symmetric part of the blocks of mat, a 2n x 2n complex matrix or a
+    (k, 2n, 2n) stack of them, so roundoff-level violations of the block
+    symmetry are averaged away."""
+    n = mat.shape[-1] // 2
+    t1 = 0.5 * (mat[..., :n, :n] + mat[..., n:, n:].conj())
+    t2 = 0.5 * (mat[..., :n, n:] - mat[..., n:, :n].conj())
+    return symplectic_join(t1, t2, frame)
 
 
 def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
@@ -285,16 +299,13 @@ def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
     Raises NotInImage when the block symmetry is violated beyond
     tol * |mat|, a test relative to mat at every scale (see
     relative_residual); the symmetric part of the blocks is used for the
-    reconstruction, so roundoff-level violations are averaged away.
+    reconstruction (see _unembedded_data).
     """
     mat = np.asarray(mat, dtype=complex)
     residual = relative_residual(block_symmetry_residual, mat)
     if not residual <= tol:
         raise NotInImage(residual)
-    n = mat.shape[0] // 2
-    t1 = 0.5 * (mat[:n, :n] + mat[n:, n:].conj())
-    t2 = 0.5 * (mat[:n, n:] - mat[n:, :n].conj())
-    return QMatrix(symplectic_join(t1, t2, frame))
+    return QMatrix(_unembedded_data(mat, frame))
 
 
 def embed_vector(v: QVector, frame: Frame = STANDARD_FRAME) -> np.ndarray:
@@ -366,15 +377,24 @@ def spectral_projections(t: QMatrix) -> list[tuple[float, QMatrix]]:
     sorted spectrum of the one `eigh` of chi(t) is split where a gap
     exceeds CLUSTER_TOL times its largest modulus, a cut relative to the
     spectrum itself, so the clusters are the same at every scale of t.
+    The projections are unembedded together, as :func:`complex_unembed`
+    would one at a time: each must lie within 1e-7 of the image of the
+    embedding relative to its own norm, which is at least 1 whatever the
+    scale of t.
     """
     chi = complex_embed(t)
     vals, vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))
     cuts = np.flatnonzero(
         np.diff(vals) > CLUSTER_TOL * np.abs(vals).max(initial=0.0)) + 1
-    return [(float(block_vals.mean()),
-             complex_unembed(block @ block.conj().T, tol=1e-7))
-            for block_vals, block in zip(np.split(vals, cuts),
-                                         np.split(vecs, cuts, axis=1))]
+    projs = np.stack([block @ block.conj().T
+                      for block in np.split(vecs, cuts, axis=1)])
+    residual = float(np.max(block_symmetry_residual(projs)
+                            / np.linalg.norm(projs, axis=(1, 2))))
+    if not residual <= 1e-7:
+        raise NotInImage(residual)
+    return [(float(block_vals.mean()), QMatrix(data))
+            for block_vals, data in zip(
+                np.split(vals, cuts), _unembedded_data(projs, STANDARD_FRAME))]
 
 
 # ---------------------------------------------------------------------------

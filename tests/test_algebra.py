@@ -7,6 +7,7 @@ application of T -> [G, T] to every basis matrix.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import scipy.linalg
 
 from qreduce import algebra as algebra_module, sampling
 from qreduce.algebra import (
+    DIAGONAL_SCREEN_MIN_N,
     MEMBERSHIP_TOL,
     SV_CUTOFF,
     CommutantBasis,
@@ -216,7 +218,7 @@ def test_nullspace_rows_matches_svd_rule(near):
     u = np.linalg.qr(rng.standard_normal((3 * cols, cols)))[0]
     v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
     constraint = (u * svals) @ v.T
-    (rows,) = _nullspace_rows([constraint], SV_CUTOFF, 0.5)
+    (rows,) = _nullspace_rows([constraint], SV_CUTOFF, 0.5, None)
     reference, _ = svd_nullspace_rows(constraint, SV_CUTOFF, 0.5)
     assert rows.shape == reference.shape
     assert rows.shape[0] == int(np.sum(svals <= THRESHOLD))
@@ -250,9 +252,9 @@ def test_nullspace_rows_shares_one_threshold_across_blocks():
               (u[:, cols[0]:] * svals[1])
               @ np.linalg.qr(rng.standard_normal((cols[1], cols[1])))[0].T]
     scale = 1e-6
-    rows = _nullspace_rows(blocks, SV_CUTOFF, scale)
+    rows = _nullspace_rows(blocks, SV_CUTOFF, scale, None)
     assert [len(r) for r in rows] == [2, 3]
-    assert len(_nullspace_rows(blocks[1:], SV_CUTOFF, scale)[0]) == 2
+    assert len(_nullspace_rows(blocks[1:], SV_CUTOFF, scale, None)[0]) == 2
     joined = np.zeros((5, sum(cols)))
     joined[:2, :cols[0]] = rows[0]
     joined[2:, cols[0]:] = rows[1]
@@ -321,12 +323,14 @@ def test_commutant_of_is_commutant_of_star_closure():
 
 
 @pytest.mark.parametrize("half", [2, 4])
-def test_near_reducible_algebra_matches_svd_rule(half):
+def test_near_reducible_algebra_matches_svd_rule(half, monkeypatch):
     """A block-diagonal algebra coupled by eps: the coupling lifts one
     singular value of the constraint in proportion to eps, so sweeping eps
     moves it across the threshold, the candidate band and the screen.  The
     commutant dimension and the irreducibility verdict follow the SVD rule,
-    and the identity stays in the commutant."""
+    and the identity stays in the commutant.  At n = 8 the sweep sees both
+    outcomes of the eigenframe solve: certified where the lifted value
+    lies far from the threshold, and the fallback near it."""
     rng = np.random.default_rng(46 + half)
     n = 2 * half
     blocks = block_diagonal_algebra(rng, half).generators[1:]
@@ -347,9 +351,13 @@ def test_near_reducible_algebra_matches_svd_rule(half):
         factor * cut * ref / lifted for factor in (0.5, 1.5)
         for cut in (SV_CUTOFF, np.sqrt(SV_CUTOFF), SV_CUTOFF ** 0.25)]
     identity = vec(QMatrix.identity(n))
+    outcomes = set()
     for eps in sweep:
         algebra, constraint, scale = coupled(eps)
-        rows = algebra.commutant_basis().mat
+        comm, certified = eigenframe_outcome(
+            monkeypatch, algebra.commutant_basis)
+        outcomes.add(certified)
+        rows = comm.mat
         reference, top = svd_nullspace_rows(constraint, SV_CUTOFF, scale)
         assert rows.shape == reference.shape, eps
         assert is_irreducible(algebra) is (len(rows) == 1), eps
@@ -357,6 +365,127 @@ def test_near_reducible_algebra_matches_svd_rule(half):
                 <= SV_CUTOFF * max(top, scale)), eps
         outside = identity - rows.T @ (rows @ identity)
         assert np.linalg.norm(outside) <= 1e-10, eps
+    assert outcomes == ({True, False} if n >= DIAGONAL_SCREEN_MIN_N
+                        else {False})
+
+
+def eigenframe_outcome(monkeypatch, solve):
+    """solve() for one commutant, and whether it was certified in the
+    eigenframe: then no eigh of a whole Gram block (2n^2 - n columns or
+    more) runs, only the restricted ones (n and 3n) and that of H."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    try:
+        result = solve()
+    finally:
+        monkeypatch.undo()
+    n = math.isqrt(result.mat.shape[1] // 4)
+    return result, max(sizes, default=0) < 2 * n * n - n
+
+
+def eigh_path(mats: np.ndarray) -> CommutantBasis:
+    """The commutant of a stack by the Gram eigh screen alone, in the
+    input frame."""
+    parts = _nullspace_rows(_commutator_constraint(mats), SV_CUTOFF, 1.0,
+                            None)
+    return CommutantBasis(_from_adjoint_coordinates(parts, mats.shape[1]),
+                          selfadjoint=len(parts[0]))
+
+
+def assert_exactly_selfadjoint_or_skew(basis: CommutantBasis):
+    stack = basis.stack
+    adj = conj4(np.swapaxes(stack, 1, 2))
+    np.testing.assert_array_equal(adj[:basis.selfadjoint],
+                                  stack[:basis.selfadjoint])
+    np.testing.assert_array_equal(adj[basis.selfadjoint:],
+                                  -stack[basis.selfadjoint:])
+    np.testing.assert_allclose(basis.mat @ basis.mat.T, np.eye(basis.dim_r),
+                               rtol=0, atol=1e-14)
+
+
+def planted_generator_sets(rng, n: int) -> list[list[QMatrix]]:
+    """Proper, complex-induced, real-induced and block-diagonal (blocks of
+    n // 2 and n - n // 2) generator pairs."""
+    half = n // 2
+    reducible = []
+    for _ in range(2):
+        data = np.zeros((n, n, 4))
+        data[:half, :half] = rng.standard_normal((half, half, 4))
+        data[half:, half:] = rng.standard_normal((n - half, n - half, 4))
+        reducible.append(QMatrix(data))
+    return [sampling.plant_proper(rng, n),
+            sampling.plant_complex_induced(rng, n)[0],
+            sampling.plant_real_induced(rng, n)[0], reducible]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_eigenframe_solve_certifies_planted_algebras(n, monkeypatch):
+    """From DIAGONAL_SCREEN_MIN_N on, every planted kind is certified in
+    the eigenframe, with the dimension and selfadjoint count of the eigh
+    path and the same subspace, also for generators scaled by 10^+-150 and
+    conjugated by a unitary; the rows are orthonormal and exactly
+    selfadjoint or exactly skew."""
+    assert n >= DIAGONAL_SCREEN_MIN_N
+    rng = np.random.default_rng(70 + n)
+    u = sampling.unitary(rng, n)
+    for gens in planted_generator_sets(rng, n):
+        for variant in (gens, [g * 1e150 for g in gens],
+                        [g * 1e-150 for g in gens],
+                        [u @ g @ u.H for g in gens]):
+            constraint = StarAlgebra(variant)._constraint
+            basis, certified = eigenframe_outcome(
+                monkeypatch, lambda: _commutant_of(constraint))
+            reference = eigh_path(constraint)
+            assert certified
+            assert (basis.dim_r, basis.selfadjoint) == (
+                reference.dim_r, reference.selfadjoint)
+            assert subspace_gap(basis, reference) <= 1e-12
+            assert_exactly_selfadjoint_or_skew(basis)
+
+
+def test_eigenframe_solve_falls_back_on_a_degenerate_element(monkeypatch):
+    """Where the algebra's H has a repeated eigensphere, today's eigh path
+    answers, unrotated: the bicommutant of a complex-induced algebra (H is
+    a multiple of I), a block-diagonal algebra with two equal blocks, and
+    the algebra with no generator."""
+    rng = np.random.default_rng(73)
+    complex_induced = StarAlgebra(sampling.plant_complex_induced(rng, 8)[0])
+    block = rng.standard_normal((2, 4, 4, 4))
+    doubled = np.zeros((2, 8, 8, 4))
+    doubled[:, :4, :4] = doubled[:, 4:, 4:] = block
+    stacks = [complex_induced.commutant_basis().stack,
+              StarAlgebra([QMatrix(g) for g in doubled])._constraint,
+              StarAlgebra([], n=8)._constraint]
+    for stack in stacks:
+        basis, certified = eigenframe_outcome(
+            monkeypatch, lambda: _commutant_of(stack))
+        assert not certified
+        reference = eigh_path(stack)
+        np.testing.assert_array_equal(basis.mat, reference.mat)
+        assert basis.selfadjoint == reference.selfadjoint
+    # M_8(C); M_2(R) on two copies of one irreducible block; everything
+    assert [len(eigh_path(stack).mat) for stack in stacks] == [128, 4, 256]
+
+
+def test_eigenframe_solve_takes_skew_generators(monkeypatch):
+    """Skew generators have no selfadjoint part; their g* g terms still
+    give a generic H, so the solve is certified."""
+    rng = np.random.default_rng(74)
+    algebra = StarAlgebra([sampling.antiselfadjoint(rng, 8)
+                           for _ in range(2)])
+    basis, certified = eigenframe_outcome(monkeypatch,
+                                          algebra.commutant_basis)
+    reference = eigh_path(algebra._constraint)
+    assert certified
+    assert (basis.dim_r, basis.selfadjoint) == (1, 1)
+    assert subspace_gap(basis, reference) <= 1e-12
+    assert_exactly_selfadjoint_or_skew(basis)
 
 
 def test_batched_constraint_matches_per_generator_blocks():
@@ -432,12 +561,12 @@ def test_nullspace_rows_of_wide_constraint():
     # rank-3 constraint on R^8 whose nullspace is the last five coordinates
     constraint = np.zeros((3, 8))
     constraint[:, :3] = rng.standard_normal((3, 3))
-    (rows,) = _nullspace_rows([constraint], SV_CUTOFF, 1.0)
+    (rows,) = _nullspace_rows([constraint], SV_CUTOFF, 1.0, None)
     assert rows.shape == (5, 8)
     np.testing.assert_allclose(rows @ rows.T, np.eye(5), atol=1e-12)
     np.testing.assert_allclose(rows[:, :3], 0.0, atol=1e-12)
     # a numerically zero wide constraint leaves the whole space
-    (rows,) = _nullspace_rows([np.zeros((2, 6))], SV_CUTOFF, 1.0)
+    (rows,) = _nullspace_rows([np.zeros((2, 6))], SV_CUTOFF, 1.0, None)
     assert rows.shape == (6, 6)
 
 
@@ -568,6 +697,35 @@ def test_generated_algebra_matches_pairwise_closure():
         reference = pairwise_closure(algebra)
         assert fast.dim_r == reference.dim_r
         assert subspace_gap(fast, reference) <= 1e-10
+
+
+def test_generated_algebra_stops_when_the_span_is_full(monkeypatch):
+    """On a proper plant the closure returns once its span has all 4n^2
+    dimensions: every _row_span call adds rows, and the round it skips
+    would have added none, so the basis is the one a closure run until an
+    empty round returns."""
+    n = 3
+    algebra = StarAlgebra(sampling.plant_proper(np.random.default_rng(75), n))
+    spans = []
+    row_span = algebra_module._row_span
+
+    def spy(stack, scale):
+        spans.append(row_span(stack, scale))
+        return spans[-1]
+
+    monkeypatch.setattr(algebra_module, "_row_span", spy)
+    basis = generated_algebra(algebra)
+    monkeypatch.undo()
+    assert basis.dim_r == 4 * n * n
+    assert all(len(rows) for rows in spans)
+    np.testing.assert_array_equal(basis.mat, np.concatenate(spans))
+    gens = _unit_scaled(np.stack([g.data for g in algebra.generators]))
+    skipped = matmul4(gens[1:, None], spans[-1].reshape(1, -1, n, n, 4))
+    skipped = skipped.reshape(-1, 4 * n * n)
+    for _ in range(2):
+        skipped = skipped - (skipped @ basis.mat.T) @ basis.mat
+    assert len(row_span(skipped, 1.0)) == 0
+    assert subspace_gap(basis, pairwise_closure(algebra)) <= 1e-10
 
 
 def test_center_full_algebra():

@@ -278,6 +278,31 @@ def test_spectral_projections_partition_identity():
         assert (rebuilt - t).frob() <= 1e-7 * max(1.0, t.frob())
 
 
+def test_spectral_projections_unembed_as_complex_unembed():
+    """The projections are unembedded as one stack, with the entries that
+    complex_unembed gives each one, on simple and repeated spectra; the
+    stacked block-symmetry residual is the residual of each matrix."""
+    rng = np.random.default_rng(18)
+    for n in (1, 3, 8):
+        u = sampling.unitary(rng, n)
+        repeated = QMatrix.diag([Quaternion(float(k % 2), 0.0, 0.0, 0.0)
+                                 for k in range(n)])
+        for t in (sampling.selfadjoint(rng, n), u @ repeated @ u.H):
+            chi = complex_embed(t)
+            vals, vecs = np.linalg.eigh(0.5 * (chi + chi.conj().T))
+            cuts = np.flatnonzero(np.diff(vals) > 1e-7 * np.abs(vals).max()) + 1
+            blocks = [b @ b.conj().T for b in np.split(vecs, cuts, axis=1)]
+            pairs = spectral_projections(t)
+            assert len(pairs) == len(blocks)
+            for (_, proj), block in zip(pairs, blocks):
+                np.testing.assert_array_equal(
+                    proj.data, complex_unembed(block, tol=1e-7).data)
+            stacked = block_symmetry_residual(np.stack(blocks))
+            np.testing.assert_allclose(
+                stacked, [block_symmetry_residual(b) for b in blocks],
+                rtol=1e-12, atol=1e-30)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectral_projections_invariant_under_scaling():
     """The clusters are cut relative to the spectrum, so a scaled operator
