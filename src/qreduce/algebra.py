@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DoesNotCommute,
     InternalInconsistency,
     NotComplexInduced,
     StructureError,
@@ -56,21 +55,20 @@ from .errors import (
 from .functors import (
     SplitSpace,
     extend_from_plus,
-    plus_projector_apply,
+    require_j_commuting,
     restrict_to_plus,
     split_plus_minus,
 )
 from .qlinalg import (
     QMatrix,
-    QVector,
     binary_scaled,
-    commutator_residual,
     complex_matrix_to_json,
-    outer,
+    member_norms,
     relative_residual,
     spectral_projections,
 )
-from .quat import QTENSOR, ImaginaryUnit, conj4, matmul4
+from .quat import (QTENSOR, ImaginaryUnit, conj4, matmul4, mul4,
+                   symplectic_join)
 from .report import Check, max_residual
 
 SV_CUTOFF = 1e-9
@@ -293,8 +291,7 @@ def _unit_scaled(mats: np.ndarray) -> np.ndarray:
     after an exact binary scaling, so that the norm is finite and nonzero
     at any scale; a zero matrix stays zero."""
     mats = binary_scaled(mats)
-    n = mats.shape[1]
-    norms = np.linalg.norm(mats.reshape(len(mats), 4 * n * n), axis=1)
+    norms = member_norms(mats)
     return mats / np.where(norms > 0.0, norms, 1.0)[:, None, None, None]
 
 
@@ -631,31 +628,22 @@ class ReductionReport:
         }
 
 
-def _projection_samples(algebra: StarAlgebra) -> list[QMatrix]:
-    samples = [QMatrix.identity(algebra.n)]
-    for g in algebra.generators[1:]:
-        # the projections of g are those of its exactly scaled copy, on
-        # which the tests below are relative to the size of g at any scale;
-        # a generator with no selfadjoint part adds none
-        sym = QMatrix(binary_scaled(g.data))
-        sym = (sym + sym.H) * 0.5
-        if sym.frob() <= 1e-12:
-            continue
-        for _, proj in spectral_projections(sym):
-            samples.append(proj)
-    return samples
-
-
-def _ray_representative(e: QMatrix, space: SplitSpace,
-                        probe: QVector) -> QVector | None:
-    """Vector in range(E) that lies in the plus space, if recoverable."""
-    u = e @ probe
-    for candidate in (u, u * space.frame.j.as_quaternion()):
-        w = plus_projector_apply(space.J, candidate, space.frame)
-        nrm = w.norm()
-        if nrm > 1e-6:
-            return w * (1.0 / nrm)
-    return None
+def _projection_samples(algebra: StarAlgebra) -> np.ndarray:
+    """The identity and the spectral projections of the selfadjoint parts
+    of the generators binary-scaled (so relative to each at any scale), as
+    one (k, n, n, 4) stack; a zero part adds none.  g and g* have
+    bit-identical scaled parts, so each distinct part is decomposed once:
+    one set of projections per adjoint pair."""
+    n = algebra.n
+    scaled = binary_scaled(np.reshape(
+        [g.data for g in algebra.generators[1:]], (-1, n, n, 4)))
+    parts = 0.5 * (scaled + conj4(np.swapaxes(scaled, 1, 2)))
+    samples = [QMatrix.identity(n).data]
+    for part in {part.tobytes(): part for part in parts}.values():
+        if np.linalg.norm(part) > 1e-12:
+            samples += [proj.data for _, proj in
+                        spectral_projections(QMatrix(part))]
+    return np.stack(samples)
 
 
 def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
@@ -670,6 +658,8 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
           vector in the plus space;
       (d) evolution restricts to a unitary on the plus space, extends back
           to the original operator, and preserves the plus space.
+    Each certificate runs on one (k, n, n, 4) stack, each member guarded
+    relative to its own norm, and each check takes the worst member.
     """
     classification = classify_irreducible(algebra)
     if classification.kind != "ComplexInduced":
@@ -677,76 +667,67 @@ def reduce_system(algebra: StarAlgebra, evolution: list[QMatrix],
             f"classification is {classification.kind}; reduction needs a "
             "compatible J")
     j = classification.J
-    for idx, u in enumerate(evolution):
-        res = commutator_residual(j, u)
-        if not res <= 1e-9:
-            raise DoesNotCommute(res, f"evolution operator {idx} does not "
-                                 f"commute with J (relative residual "
-                                 f"{res:.2e})")
-    space = split_plus_minus(j, i)
     n = algebra.n
+    evo = np.reshape([u.data for u in evolution], (len(evolution), n, n, 4))
+    require_j_commuting(j, evo, 1e-9, "evolution operator")
+    space = split_plus_minus(j, i)
     rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+              rng.standard_normal((n, 1, 4))) for _ in range(8)]
+    coords = np.reshape([c for c, _ in draws] + [
+        rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for _ in evolution], (-1, n))
+    # unit plus-space vectors: 8 for the rays, one per evolution operator
+    unit = matmul4(space.basis.data, symplectic_join(
+        coords, np.zeros_like(coords), space.frame)[..., None, :])
+    unit = unit * (1.0 / member_norms(unit))[:, None, None, None]
+    iq = space.frame.i.as_quaternion().as_array()
     checks: list[Check] = []
 
-    restricted_gens = [restrict_to_plus(g, space, tol=1e-8)
-                       for g in algebra.generators]
+    restricted_gens = list(restrict_to_plus(
+        np.stack([g.data for g in algebra.generators]), space, tol=1e-8))
 
     # (a) + (b): projections are extensions of their restrictions
-    worst_ext = 0.0
-    worst_rank = 0.0
-    for e in _projection_samples(algebra):
-        restricted = restrict_to_plus(e, space, tol=1e-7)
-        rebuilt = extend_from_plus(restricted, space)
-        worst_ext = max_residual(worst_ext, (rebuilt - e).frob())
-        rank_h = e.trace().w
-        rank_c = float(np.trace(restricted).real)
-        worst_rank = max_residual(worst_rank, abs(rank_h - rank_c))
-    checks.append(Check("projection_extension", worst_ext, 1e-8))
-    checks.append(Check("projection_rank_match", worst_rank, 1e-8))
+    samples = _projection_samples(algebra)
+    restricted = restrict_to_plus(samples, space, tol=1e-7)
+    rebuilt = extend_from_plus(restricted, space)
+    rank_gap = (np.trace(samples[..., 0], axis1=1, axis2=2)
+                - np.trace(restricted, axis1=1, axis2=2).real)
+    checks.append(Check("projection_extension",
+                        max_residual(*member_norms(rebuilt - samples)), 1e-8))
+    checks.append(Check("projection_rank_match",
+                        max_residual(*np.abs(rank_gap)), 1e-8))
 
-    # (c) rank-one lattice projections have plus-space representatives
-    worst_ray = 0.0
-    iq = space.frame.i.as_quaternion()
-    for _ in range(8):
-        coords = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = space.basis @ QVector.from_complex(coords, space.frame)
-        w = w * (1.0 / w.norm())
-        e = outer(w, w)
-        probe = QVector(rng.standard_normal((n, 4)))
-        rep = _ray_representative(e, space, probe)
-        if rep is None:
-            worst_ray = max_residual(worst_ray, 1.0)
-            continue
-        in_plus = ((space.J @ rep) - rep * iq).norm()
-        in_range = ((e @ rep) - rep).norm()
-        spans_ray = (outer(rep, rep) - e).frob()
-        worst_ray = max_residual(worst_ray, in_plus, in_range, spans_ray)
-    checks.append(Check("ray_representative", worst_ray, 1e-8))
+    # (c) rank-one lattice projections E = w w* have plus-space
+    # representatives: P+ v = (v - (Jv) i) / 2 of v = E p, or of (E p) j
+    # when that is at most 1e-6, normalised; a ray with neither counts 1
+    rays = mul4(unit[:8], conj4(np.swapaxes(unit[:8], 1, 2)))
+    u = matmul4(rays, np.array([p for _, p in draws]))
+    cands = np.stack([u, mul4(u, space.frame.j.as_quaternion().as_array())],
+                     axis=1)
+    cands = (cands - mul4(matmul4(j.data, cands), iq)) * 0.5
+    sizes = np.linalg.norm(cands.reshape(8, 2, -1), axis=2)
+    found, pick = (sizes > 1e-6).any(axis=1), np.argmax(sizes > 1e-6, axis=1)
+    rep = cands[np.arange(8), pick] * (1.0 / np.where(
+        found, sizes[np.arange(8), pick], 1.0))[:, None, None, None]
+    in_plus = member_norms(matmul4(j.data, rep) - mul4(rep, iq))
+    in_range = member_norms(matmul4(rays, rep) - rep)
+    spans_ray = member_norms(mul4(rep, conj4(np.swapaxes(rep, 1, 2))) - rays)
+    checks.append(Check("ray_representative", max_residual(*np.where(
+        found, np.maximum(np.maximum(in_plus, in_range), spans_ray), 1.0)),
+        1e-8))
 
     # (d) evolution restricts to a unitary and extends back
-    restricted_evo = []
-    worst_unitary = 0.0
-    worst_roundtrip = 0.0
-    worst_invariance = 0.0
-    for u in evolution:
-        restricted = restrict_to_plus(u, space, tol=1e-8)
-        restricted_evo.append(restricted)
-        gram = restricted.conj().T @ restricted - np.eye(n)
-        worst_unitary = max_residual(worst_unitary,
-                                     float(np.linalg.norm(gram)))
-        rebuilt = extend_from_plus(restricted, space)
-        worst_roundtrip = max_residual(worst_roundtrip,
-                                       (rebuilt - u).frob())
-        coords = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = space.basis @ QVector.from_complex(coords, space.frame)
-        v = v * (1.0 / v.norm())
-        moved = u @ v
-        worst_invariance = max_residual(
-            worst_invariance, ((space.J @ moved) - moved * iq).norm())
-    checks.append(Check("evolution_restriction_unitary", worst_unitary, 1e-9))
-    checks.append(Check("evolution_roundtrip", worst_roundtrip, 1e-9))
-    checks.append(Check("evolution_plus_invariance", worst_invariance,
-                        1e-8))
+    restricted_evo = restrict_to_plus(evo, space, tol=1e-8)
+    gram = np.swapaxes(restricted_evo.conj(), 1, 2) @ restricted_evo
+    rebuilt = extend_from_plus(restricted_evo, space)
+    moved = matmul4(evo, unit[8:])
+    checks.append(Check("evolution_restriction_unitary",
+                        max_residual(*member_norms(gram - np.eye(n))), 1e-9))
+    checks.append(Check("evolution_roundtrip",
+                        max_residual(*member_norms(rebuilt - evo)), 1e-9))
+    checks.append(Check("evolution_plus_invariance", max_residual(
+        *member_norms(matmul4(j.data, moved) - mul4(moved, iq))), 1e-8))
 
     return ReductionReport(classification, space, restricted_gens,
-                           restricted_evo, checks)
+                           list(restricted_evo), checks)

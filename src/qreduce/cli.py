@@ -166,35 +166,35 @@ def _parse_axis(text: str) -> ImaginaryUnit:
         raise UsageError(f"invalid imaginary-unit axis {text!r}") from exc
 
 
-def _finite_number(text: str) -> float | int:
-    """JSON number hook: overflowing literals such as 1e999 (which float()
-    turns into inf) and the NaN/Infinity constants are rejected."""
-    if not math.isfinite(float(text)):
-        raise ValueError(f"non-finite number {text}")
-    return float(text) if any(c in text for c in ".eE") else int(text)
+def _reject_constant(text: str):
+    """JSON constant hook: the NaN and Infinity constants are rejected."""
+    raise ValueError(f"non-finite number {text}")
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=_finite_number,
-                             parse_int=_finite_number,
-                             parse_constant=_finite_number)
+            return json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_system(path: str) -> tuple[StarAlgebra, list[QMatrix]]:
     """Algebra and optional evolution list of a classify/reduce file.  The
-    dimension is checked before any n x n array is built."""
+    dimension is checked before any n x n array is built, and each array is
+    checked finite (1e999 parses to inf) before the algebra is built."""
     payload = _load_json(path)
     n = payload.get("n") if isinstance(payload, dict) else None
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIM:
         raise UsageError(f"n must be an integer in [1, {MAX_DIM}], got {n!r}")
     try:
-        algebra = StarAlgebra.from_json(payload)
+        gens = [QMatrix.from_json(g) for g in payload["generators"]]
         evolution = [QMatrix.from_json(u) for u in payload.get("evolution", [])]
-    except (KeyError, TypeError, ValueError, QReduceError) as exc:
+        if not all(np.isfinite(m.data).all() for m in gens + evolution):
+            raise UsageError("non-finite number in system file")
+        algebra = StarAlgebra(gens, n=n)
+    except (KeyError, TypeError, ValueError, OverflowError,
+            QReduceError) as exc:
         raise UsageError(f"malformed system file: {exc}") from exc
     if any(u.n != n for u in evolution):
         raise UsageError(f"evolution operators must be {n} x {n}")

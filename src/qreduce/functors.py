@@ -27,8 +27,8 @@ from .errors import (
     InternalInconsistency,
     StructureError,
 )
-from .qlinalg import (DEFAULT_TOL, QMatrix, QVector, commutator_residual,
-                      relative_residual)
+from .qlinalg import (DEFAULT_TOL, QMatrix, QVector, binary_scaled,
+                      member_norms, relative_residual)
 from .quat import (
     Frame,
     ImaginaryUnit,
@@ -106,11 +106,6 @@ class SplitSpace:
         return cls(j, frame, QMatrix(data))
 
 
-def plus_projector_apply(j: QMatrix, v: QVector, frame: Frame) -> QVector:
-    """P+ v = (v - (Jv) * i) / 2, the projector onto {v : Jv = v*i}."""
-    return (v - (j @ v) * frame.i.as_quaternion()) * 0.5
-
-
 def _pivoted_basis(cands: np.ndarray, count: int, maps=()) -> np.ndarray:
     """`count` orthonormal columns v_m picked from the real or complex
     columns of `cands`, with (v_m, A v_m, ...) over `maps` one orthonormal
@@ -166,24 +161,43 @@ def split_plus_minus(j: QMatrix, i: ImaginaryUnit) -> SplitSpace:
     return SplitSpace(j, frame, QMatrix(basis))
 
 
-def restrict_to_plus(t: QMatrix, space: SplitSpace,
+def require_j_commuting(j: QMatrix, stack: np.ndarray, tol: float,
+                        what: str) -> None:
+    """Raise DoesNotCommute, naming `what` and its index, for the first
+    member t of a (k, n, n, 4) stack with |[J, t]| > tol |t| or a NaN.  Each
+    member is binary-scaled by its own peak: a test relative at any scale."""
+    x = binary_scaled(stack)
+    res = member_norms(matmul4(j.data, x) - matmul4(x, j.data)) / np.maximum(
+        member_norms(x), np.finfo(float).tiny)
+    for idx in np.flatnonzero(~(res <= tol))[:1]:
+        raise DoesNotCommute(float(res[idx]), f"{what} {idx} does not commute "
+                             f"with J (relative residual {res[idx]:.2e})")
+
+
+def restrict_to_plus(t: QMatrix | np.ndarray, space: SplitSpace,
                      tol: float = 1e-9) -> np.ndarray:
-    """Complex matrix of a J-commuting operator in the plus basis."""
-    res = commutator_residual(space.J, t)
-    if not res <= tol:
-        raise DoesNotCommute(res)
-    coeff = space.basis.H @ t @ space.basis
-    return symplectic_split(coeff.data, space.frame)[0]
+    """Complex matrix in the plus basis of a J-commuting operator: (n, n)
+    for a QMatrix, (k, n, n) for a (k, n, n, 4) component stack, with each
+    member's commutation with J guarded by require_j_commuting."""
+    data = t.data if isinstance(t, QMatrix) else np.asarray(t, dtype=float)
+    require_j_commuting(space.J, data[None] if data.ndim == 3 else data, tol,
+                        "operator")
+    coeff = matmul4(matmul4(space.basis.H.data, data), space.basis.data)
+    return symplectic_split(coeff, space.frame)[0]
 
 
-def extend_from_plus(mat: np.ndarray, space: SplitSpace) -> QMatrix:
-    """Unique right-linear operator agreeing with `mat` on the plus basis."""
+def extend_from_plus(mat: np.ndarray,
+                     space: SplitSpace) -> QMatrix | np.ndarray:
+    """Unique right-linear operator agreeing with `mat` on the plus basis:
+    a QMatrix for one (n, n) complex matrix, a (k, n, n, 4) component stack
+    for a (k, n, n) stack."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (space.n, space.n):
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (space.n, space.n):
         raise DimensionError(
-            f"expected ({space.n}, {space.n}) matrix, got {mat.shape}")
-    lift = QMatrix.from_complex(mat, space.frame)
-    return space.basis @ lift @ space.basis.H
+            f"expected ({space.n}, {space.n}) matrices, got {mat.shape}")
+    lift = symplectic_join(mat, np.zeros_like(mat), space.frame)
+    data = matmul4(matmul4(space.basis.data, lift), space.basis.H.data)
+    return QMatrix(data) if mat.ndim == 2 else data
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,12 @@ def binary_scaled(data: np.ndarray) -> np.ndarray:
     return np.ldexp(data, -np.frexp(peak)[1])
 
 
+def member_norms(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each member of a (k, ...) stack, k = 0 too."""
+    return np.linalg.norm(
+        stack.reshape(len(stack), int(np.prod(stack.shape[1:]))), axis=1)
+
+
 def relative_residual(residual, t: np.ndarray) -> float:
     """|residual(t)| / |t| for a map `residual` linear in t (or the norm of
     such a map), t a real or complex matrix or a quaternionic component

@@ -84,11 +84,9 @@ def plant_complex_induced(rng: np.random.Generator, n: int
     w = unitary(rng, n)
     j = w @ QMatrix.scalar(n, unit.as_quaternion()) @ w.H
     space = split_plus_minus(j, unit)
-    gens = []
-    for _ in range(2):
-        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        gens.append(extend_from_plus(mat, space))
-    return gens, j
+    mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2)]
+    return [QMatrix(g) for g in extend_from_plus(mats, space)], j
 
 
 def plant_real_induced(rng: np.random.Generator, n: int

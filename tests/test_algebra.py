@@ -50,6 +50,7 @@ from qreduce.qlinalg import (
     classify_operator,
     complex_embed,
     expm_antiselfadjoint,
+    spectral_projections,
 )
 from qreduce.quat import QTENSOR, UNIT_E1, conj4, matmul4
 
@@ -975,7 +976,26 @@ def test_projection_samples_invariant_under_generator_scaling():
         got = _projection_samples(StarAlgebra([g * c for g in gens]))
         assert len(got) == len(expected), c
         for p, q in zip(got, expected):
-            assert (p - q).frob() <= 1e-9, c
+            assert np.linalg.norm(p - q) <= 1e-9, c
+
+
+def test_projection_samples_one_set_per_adjoint_pair():
+    """The samples are pairwise distinct: the identity, then the
+    projections of each input generator's selfadjoint part once, although
+    the generator list holds g and g*, whose parts are equal."""
+    rng = np.random.default_rng(58)
+    n = 3
+    gens, _ = sampling.plant_complex_induced(rng, n)
+    samples = _projection_samples(StarAlgebra(gens))
+    expected = [QMatrix.identity(n)] + [
+        proj for g in gens
+        for _, proj in spectral_projections((g + g.H) * 0.5)]
+    assert len(samples) == len(expected) == 1 + 2 * n
+    for a in range(len(samples)):
+        for b in range(a):
+            assert np.linalg.norm(samples[a] - samples[b]) > 0.5
+    for proj in expected:
+        assert min(np.linalg.norm(s - proj.data) for s in samples) <= 1e-9
 
 
 def test_algebra_draws_random_numbers_only_in_reduce_system():
@@ -1148,6 +1168,15 @@ def test_reduce_system_guards():
     # a squared entry of this evolution overflows; the guard fires anyway
     with pytest.raises(DoesNotCommute):
         reduce_system(algebra, [sampling.unitary(rng, 2) * 1e200], UNIT_E1)
+
+
+def test_reduce_system_names_the_evolution_operator_that_does_not_commute():
+    rng = np.random.default_rng(28)
+    gens, _ = sampling.plant_complex_induced(rng, 3)
+    evolution = [evolution_from(gens)[0], sampling.unitary(rng, 3)]
+    with pytest.raises(DoesNotCommute,
+                       match="evolution operator 1 does not commute with J"):
+        reduce_system(StarAlgebra(gens), evolution, UNIT_E1)
 
 
 def test_star_algebra_json_roundtrip():

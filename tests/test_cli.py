@@ -206,6 +206,29 @@ def test_non_finite_input_rejected(tmp_path, capsys, command, literal):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["classify", "reduce"])
+@pytest.mark.parametrize("case", ["entry_400_digits", "n_1e999"])
+def test_overflowing_literals_rejected(tmp_path, capsys, command, case):
+    """A 400-digit integer literal parses to an int that no float holds, and
+    1e999 to inf: both are usage errors, not tracebacks."""
+    rng = np.random.default_rng(7)
+    gens, _ = sampling.plant_complex_induced(rng, 2)
+    text = json.dumps(StarAlgebra(gens).to_json())
+    if case == "n_1e999":
+        assert text.startswith('{"n": 2, ')
+        text = '{"n": 1e999, ' + text[len('{"n": 2, '):]
+    else:
+        head, sep, tail = text.partition("[[[")
+        text = head + sep + "9" * 400 + tail[tail.index(","):]
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    code, report, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"] == "usage"
+    assert "Traceback" not in err
+
+
 def test_reduce_planted_file(tmp_path, capsys):
     rng = np.random.default_rng(3)
     gens, _ = sampling.plant_complex_induced(rng, 2)

@@ -25,6 +25,7 @@ from qreduce.qlinalg import (
     QMatrix,
     QVector,
     classify_operator,
+    commutator_residual,
     inner,
     operator_norm,
 )
@@ -297,6 +298,55 @@ def test_restrict_requires_commutation_at_small_scale():
     for scale in (1e-11, 1e-300):
         with pytest.raises(DoesNotCommute):
             restrict_to_plus(x * scale, space)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_stacked_restriction_and_extension_match_member_calls(n):
+    """A stack of J-commuting members at scales 1e-300, 1 and 1e200
+    restricts and extends to exactly what member-by-member calls give."""
+    rng = np.random.default_rng(70 + n)
+    space = split_plus_minus(sampling.anti_unit(rng, n),
+                             sampling.imaginary_unit(rng))
+    members = [extend_from_plus(rng.standard_normal((n, n))
+                                + 1j * rng.standard_normal((n, n)), space) * c
+               for c in (1e-300, 1.0, 1e200)]
+    restricted = restrict_to_plus(np.stack([t.data for t in members]), space)
+    assert restricted.shape == (3, n, n)
+    for got, t in zip(restricted, members):
+        np.testing.assert_array_equal(got, restrict_to_plus(t, space))
+    extended = extend_from_plus(restricted, space)
+    assert extended.shape == (3, n, n, 4)
+    for got, mat in zip(extended, restricted):
+        np.testing.assert_array_equal(got, extend_from_plus(mat, space).data)
+
+
+def test_stacked_guard_reports_the_failing_member_undiluted():
+    """One 1e-11 X that does not commute with J, among commuting members
+    at 1 and 1e200, raises with its own relative residual and its index,
+    not with a residual diluted by the stack's largest member."""
+    rng = np.random.default_rng(75)
+    n = 3
+    space = split_plus_minus(sampling.anti_unit(rng, n), UNIT_E1)
+    good = [extend_from_plus(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)), space)
+            for _ in range(2)]
+    x = sampling.qmatrix(rng, n) * 1e-11
+    stack = np.stack([good[0].data, x.data, good[1].data * 1e200])
+    with pytest.raises(DoesNotCommute, match="operator 1 does not") as info:
+        restrict_to_plus(stack, space)
+    assert info.value.residual > 1e-2
+    assert info.value.residual == pytest.approx(
+        commutator_residual(space.J, x), rel=1e-12)
+
+
+def test_stacked_guard_rejects_a_nan_member():
+    rng = np.random.default_rng(76)
+    n = 2
+    space = split_plus_minus(sampling.anti_unit(rng, n), UNIT_E1)
+    stack = np.stack([QMatrix.identity(n).data] * 3)
+    stack[2, 0, 1, 2] = np.nan
+    with pytest.raises(DoesNotCommute, match="operator 2 does not"):
+        restrict_to_plus(stack, space)
 
 
 def test_complex_op_roundtrip_through_quaternions():
