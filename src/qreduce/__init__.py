@@ -56,10 +56,8 @@ from .algebra import (  # noqa: F401
     Classification,
     CommutantBasis,
     StarAlgebra,
-    bicommutant,
     center,
     classify_irreducible,
-    commutant,
     is_irreducible,
     reduce_system,
 )

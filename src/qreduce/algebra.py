@@ -33,7 +33,9 @@ The bicommutant and the center are commutants too.  Irreducibility and
 the R/C/H trichotomy are read off the nullspace dimensions of the two
 blocks, so the nullspace rule is the only decision behind them: the
 algebra is irreducible iff the selfadjoint part of its commutant is R I,
-and the kind is the dimension of the skew part (0, 1 or 3).
+and the kind is the dimension of the skew part (0, 1 or 3).  The witness
+and J or (I, J, K) come from projections of fixed matrices onto those
+parts, which no choice of orthonormal rows moves.
 The generated algebra, which cross-checks the bicommutant, is closed
 from its newest rows: each round multiplies only the rows the previous
 round added, and it stops once its span is the whole space.
@@ -93,9 +95,9 @@ def vec(t: QMatrix) -> np.ndarray:
 @dataclass(frozen=True)
 class CommutantBasis:
     """Orthonormal real basis (under the trace form) of a subspace of the
-    n x n quaternionic matrices, held as the rows of one array.  A
-    commutant records how many of its rows, the first ones, are
-    selfadjoint; the rest are skew."""
+    n x n quaternionic matrices, as the rows of one array; any such rows
+    serve, since it is read through :func:`_project`.  A commutant counts
+    its selfadjoint rows, the first ones; the rest are skew."""
 
     mat: np.ndarray            # dim_r x 4n^2, orthonormal rows
     selfadjoint: int | None = None
@@ -113,8 +115,21 @@ class CommutantBasis:
     def membership_residual(self, t: QMatrix) -> float:
         """Least-squares distance of t from the spanned subspace relative
         to |t|, the same at every scale of t (see relative_residual)."""
-        return relative_residual(lambda x: x - self.mat.T @ (self.mat @ x),
-                                 vec(t))
+        return relative_residual(lambda x: x - _project(self.mat, x), vec(t))
+
+
+def _project(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of x, one vectorized matrix or a batch of
+    them as rows, onto the span of the orthonormal rows.  The projector
+    rows^T rows is the same for every orthonormal basis of that span."""
+    return (x @ rows.T) @ rows
+
+
+def _probes(n: int) -> np.ndarray:
+    """Two fixed vectorized n x n matrices in closed form, entry m of probe
+    k being cos((0.7 + 0.1 k) m + 1): the commutant artifacts are their
+    projections, so they are functions of the input alone."""
+    return np.cos(np.outer([0.7, 0.8], np.arange(4 * n * n)) + 1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -428,14 +443,6 @@ class StarAlgebra:
         return cls(gens, n=payload["n"])
 
 
-def commutant(algebra: StarAlgebra) -> CommutantBasis:
-    return algebra.commutant_basis()
-
-
-def bicommutant(algebra: StarAlgebra) -> CommutantBasis:
-    return algebra.bicommutant_basis()
-
-
 def center(algebra: StarAlgebra) -> CommutantBasis:
     """The intersection of the commutant A' and the bicommutant A'': the
     commutant of the generators together with the commutant basis, since
@@ -483,7 +490,7 @@ def generated_algebra(algebra: StarAlgebra) -> CommutantBasis:
         rest = matmul4(gens[1:, None], newest.reshape(1, -1, n, n, 4))
         rest = rest.reshape(-1, 4 * n * n)
         for _ in range(2):
-            rest = rest - (rest @ rows.T) @ rows
+            rest = rest - _project(rows, rest)
         newest = _row_span(rest, 1.0)
         if not len(newest):
             return CommutantBasis(rows)
@@ -495,7 +502,7 @@ def generated_algebra(algebra: StarAlgebra) -> CommutantBasis:
 def subspace_gap(a: CommutantBasis, b: CommutantBasis) -> float:
     """Largest distance of a basis row of either subspace from the other."""
     return max_residual(*(
-        float(np.linalg.norm(x - (x @ y.T) @ y, axis=1).max(initial=0.0))
+        float(np.linalg.norm(x - _project(y, x), axis=1).max(initial=0.0))
         for x, y in ((a.mat, b.mat), (b.mat, a.mat))))
 
 
@@ -516,36 +523,27 @@ def is_irreducible(algebra: StarAlgebra) -> bool:
 
 
 def reducibility_witness(algebra: StarAlgebra) -> QMatrix | None:
-    """A nontrivial commutant projection: a spectral projection of the
-    selfadjoint commutant row farthest from the line of I; None for an
-    irreducible algebra.  The selfadjoint rows are orthonormal and span I,
-    so with s of them the squared norms of their traceless parts sum to
-    s - 1, and the chosen row's is at least (s - 1) / s.  A nonscalar
-    selfadjoint row has at least two eigenspheres, so its first projection
-    is neither 0 nor I."""
+    """A nontrivial commutant projection, None for an irreducible algebra:
+    the first spectral projection of X, the first probe projected onto the
+    selfadjoint commutant, a *-algebra that holds X's spectral projections.
+    Its eigenspheres are cut relative to X, so an X that is a multiple of I
+    to rounding has one eigensphere, I, and raises instead."""
     if is_irreducible(algebra):
         return None
     comm = algebra.commutant_basis()
     n = algebra.n
-    sym = comm.mat[:comm.selfadjoint]
-    identity = vec(QMatrix.identity(n)) / math.sqrt(n)
-    row = sym[np.argmin(np.abs(sym @ identity))]
-    return spectral_projections(QMatrix(row.reshape(n, n, 4)))[0][1]
-
-
-def _fix_sign(j: QMatrix) -> QMatrix:
-    """Deterministic sign: first significantly nonzero vectorized entry > 0."""
-    x = vec(j)
-    nz = np.flatnonzero(np.abs(x) > 1e-8 * max(1.0, float(np.abs(x).max())))
-    if nz.size and x[nz[0]] < 0:
-        return -j
-    return j
+    x = _project(comm.mat[:comm.selfadjoint], _probes(n)[0])
+    pairs = spectral_projections(QMatrix(x.reshape(n, n, 4)))
+    if len(pairs) < 2:
+        raise InternalInconsistency(
+            "the probe's selfadjoint commutant part has one eigensphere")
+    return pairs[0][1]
 
 
 @dataclass(frozen=True)
 class Classification:
     """Trichotomy verdict for an irreducible algebra, with the recovered
-    structural operators."""
+    structural operators, functions of the input alone."""
 
     kind: str                       # ProperQuaternionic | ComplexInduced | RealInduced
     commutant_dim: int
@@ -567,12 +565,12 @@ _KINDS = {0: "ProperQuaternionic", 1: "ComplexInduced", 3: "RealInduced"}
 def classify_irreducible(algebra: StarAlgebra) -> Classification:
     """Kind from the dimension of the commutant's skew part: 0, 1 or 3.
 
-    The commutant of an irreducible algebra is R, C or H: R I plus the
-    skew rows of the commutant basis.  An anti-selfadjoint unitary has
-    trace-form norm sqrt(n), so J is sqrt(n) times the one skew row; for H
-    two orthonormal skew rows give the anticommuting I and J, and K = I J.
-    Any other dimension, or a recovered unit that fails U^2 = -I or
-    anticommutation, raises.
+    The commutant of an irreducible algebra is R, C or H: R I plus its
+    skew part.  J, or I and then J, is a probe projected onto that part,
+    made orthogonal to the earlier unit under the trace form and scaled
+    to sqrt(n), the norm of an anti-selfadjoint unitary; for H orthogonal
+    skew units anticommute, and K = I J.  Any other dimension, or a unit
+    that fails U^2 = -I or anticommutation (a zero one does), raises.
     """
     if not is_irreducible(algebra):
         raise StructureError("algebra is reducible; classification needs "
@@ -585,8 +583,13 @@ def classify_irreducible(algebra: StarAlgebra) -> Classification:
             f"irreducible commutant has a skew part of dimension "
             f"{len(skew)}, expected 0, 1 or 3")
     n = algebra.n
-    units = [_fix_sign(QMatrix(math.sqrt(n) * row.reshape(n, n, 4)))
-             for row in skew[:2]]
+    units: list[QMatrix] = []
+    for probe in _probes(n)[:min(len(skew), 2)]:
+        u = _project(skew, probe)
+        for prev in map(vec, units):
+            u = u - (u @ prev) / n * prev
+        units.append(QMatrix(
+            math.sqrt(n) * _unit_scaled(u.reshape(1, n, n, 4))[0]))
     ident = QMatrix.identity(n)
     residual = max_residual(*((u @ u + ident).frob() for u in units))
     if len(units) == 2:
@@ -597,9 +600,8 @@ def classify_irreducible(algebra: StarAlgebra) -> Classification:
             f"recovered units fail U^2 = -I or anticommutation "
             f"(residual {residual:.2e})")
     if len(units) == 2:
-        i_unit, j_unit = units
-        return Classification(kind, comm.dim_r, J=j_unit, I=i_unit,
-                              K=i_unit @ j_unit)
+        return Classification(kind, comm.dim_r, J=units[1], I=units[0],
+                              K=units[0] @ units[1])
     return Classification(kind, comm.dim_r, J=units[0] if units else None)
 
 

@@ -38,7 +38,6 @@ from . import __version__, sampling
 from .algebra import (
     StarAlgebra,
     classify_irreducible,
-    commutant,
     is_irreducible,
     reduce_system,
     reducibility_witness,
@@ -181,14 +180,16 @@ def _load_json(path: str) -> dict:
 
 def _load_system(path: str) -> tuple[StarAlgebra, list[QMatrix]]:
     """Algebra and optional evolution list of a classify/reduce file.  The
-    dimension is checked before any n x n array is built, and each array is
-    checked finite (1e999 parses to inf) before the algebra is built."""
+    dimension is checked before any n x n array is built; no generators
+    (the algebra R I) and a non-finite number (1e999 is inf) are refused."""
     payload = _load_json(path)
     n = payload.get("n") if isinstance(payload, dict) else None
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIM:
         raise UsageError(f"n must be an integer in [1, {MAX_DIM}], got {n!r}")
     try:
         gens = [QMatrix.from_json(g) for g in payload["generators"]]
+        if not gens:
+            raise UsageError("system file has no generators")
         evolution = [QMatrix.from_json(u) for u in payload.get("evolution", [])]
         if not all(np.isfinite(m.data).all() for m in gens + evolution):
             raise UsageError("non-finite number in system file")
@@ -254,7 +255,7 @@ def cmd_classify(args) -> int:
 
     if not is_irreducible(algebra):
         return _finish("classify", [Check("irreducible", 1.0, 0.0)], {
-            "commutant_dim": commutant(algebra).dim_r,
+            "commutant_dim": algebra.commutant_basis().dim_r,
             "reducibility_witness": reducibility_witness(algebra).to_json(),
         }, args)
 

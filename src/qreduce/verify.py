@@ -22,9 +22,7 @@ import numpy as np
 from . import sampling
 from .algebra import (
     StarAlgebra,
-    bicommutant,
     classify_irreducible,
-    commutant,
     generated_algebra,
     reduce_system,
     subspace_gap,
@@ -352,7 +350,7 @@ def _planted_verdict(gens, commutant_dim, kind):
     """classify_irreducible's verdict on a planted system, or None when the
     commutant dimension or the kind differs from the planted one."""
     algebra = StarAlgebra(gens)
-    if commutant(algebra).dim_r != commutant_dim:
+    if algebra.commutant_basis().dim_r != commutant_dim:
         return None
     verdict = classify_irreducible(algebra)
     return verdict if verdict.kind == kind else None
@@ -400,7 +398,7 @@ def _bicommutant_trial(rng, n, index):
     for gens in (sampling.plant_proper(rng, n),
                  sampling.plant_complex_induced(rng, n)[0]):
         algebra = StarAlgebra(gens)
-        bi = bicommutant(algebra)
+        bi = algebra.bicommutant_basis()
         gap = max_residual(gap, subspace_gap(bi, generated_algebra(algebra)))
         member = max_residual(member, *(bi.membership_residual(g)
                                         for g in algebra.generators))

@@ -28,10 +28,8 @@ from qreduce.algebra import (
     _nullspace_rows,
     _projection_samples,
     _unit_scaled,
-    bicommutant,
     center,
     classify_irreducible,
-    commutant,
     generated_algebra,
     is_irreducible,
     reduce_system,
@@ -41,6 +39,7 @@ from qreduce.algebra import (
 )
 from qreduce.errors import (
     DoesNotCommute,
+    InternalInconsistency,
     NotComplexInduced,
     StructureError,
 )
@@ -273,8 +272,8 @@ def test_commutant_matches_svd_rule_on_planted_algebras():
         if n % 2 == 0:
             algebras.append(block_diagonal_algebra(rng, n // 2))
         for algebra in algebras:
-            comm = commutant(algebra)
-            bicomm = bicommutant(algebra)
+            comm = algebra.commutant_basis()
+            bicomm = algebra.bicommutant_basis()
             ref_comm = svd_commutant(algebra.generators)
             ref_bicomm = svd_commutant([QMatrix(b) for b in ref_comm.stack])
             assert comm.dim_r == ref_comm.dim_r
@@ -294,8 +293,8 @@ def test_commutant_rows_are_selfadjoint_or_skew():
         if n % 2 == 0:
             algebras.append(block_diagonal_algebra(rng, n // 2))
         for algebra in algebras:
-            for basis in (commutant(algebra), bicommutant(algebra),
-                          center(algebra)):
+            for basis in (algebra.commutant_basis(),
+                          algebra.bicommutant_basis(), center(algebra)):
                 stack = basis.stack
                 adj = conj4(np.swapaxes(stack, 1, 2))
                 sym = np.linalg.norm((stack - adj).reshape(len(stack), -1),
@@ -534,7 +533,7 @@ def test_commutant_survives_json_roundtrip():
         algebra = StarAlgebra(gens)
         again = StarAlgebra.from_json(algebra.to_json())
         assert len(again.generators) > len(algebra.generators)
-        first, second = commutant(algebra), commutant(again)
+        first, second = algebra.commutant_basis(), again.commutant_basis()
         assert (second.dim_r, second.selfadjoint) == (
             first.dim_r, first.selfadjoint)
         assert subspace_gap(first, second) <= 1e-12
@@ -574,7 +573,7 @@ def test_nullspace_rows_of_wide_constraint():
 def test_commutant_of_matrix_units_is_scalar():
     n = 2
     algebra = StarAlgebra(matrix_units(n))
-    comm = commutant(algebra)
+    comm = algebra.commutant_basis()
     assert comm.dim_r == 1
     only = QMatrix(comm.stack[0])
     ident = QMatrix.identity(n)
@@ -587,14 +586,14 @@ def test_commutant_of_identity_is_everything():
     commutant."""
     for algebra, n in ((StarAlgebra([QMatrix.identity(2)]), 2),
                        (StarAlgebra([], n=3), 3)):
-        assert commutant(algebra).dim_r == 4 * n * n
+        assert algebra.commutant_basis().dim_r == 4 * n * n
 
 
 def test_commutant_matches_oracle():
     rng = np.random.default_rng(1)
     for n in (2, 3):
         algebra = StarAlgebra(sampling.plant_proper(rng, n))
-        fast = commutant(algebra)
+        fast = algebra.commutant_basis()
         slow_rows = oracle_commutant(algebra.generators, n)
         assert fast.dim_r == slow_rows.shape[0]
         slow = CommutantBasis(slow_rows)
@@ -605,7 +604,7 @@ def test_commutant_elements_commute_and_are_star_closed():
     rng = np.random.default_rng(2)
     gens, planted_j = sampling.plant_complex_induced(rng, 3)
     algebra = StarAlgebra(gens)
-    comm = commutant(algebra)
+    comm = algebra.commutant_basis()
     assert comm.dim_r == 2
     assert comm.membership_residual(QMatrix.identity(3)) <= MEMBERSHIP_TOL
     assert comm.membership_residual(planted_j) <= MEMBERSHIP_TOL
@@ -624,7 +623,7 @@ def test_membership_residual_is_relative_at_every_scale():
     below MEMBERSHIP_TOL there."""
     rng = np.random.default_rng(2)
     gens, _ = sampling.plant_complex_induced(rng, 3)
-    comm = commutant(StarAlgebra(gens))
+    comm = StarAlgebra(gens).commutant_basis()
     x = sampling.qmatrix(rng, 3)
     base = comm.membership_residual(x)
     assert base > MEMBERSHIP_TOL
@@ -637,10 +636,10 @@ def test_commutant_idempotent_beyond_first_application():
     rng = np.random.default_rng(3)
     gens, _ = sampling.plant_complex_induced(rng, 2)
     algebra = StarAlgebra(gens)
-    first = commutant(algebra)
+    first = algebra.commutant_basis()
     second = StarAlgebra([QMatrix(b) for b in first.stack], n=2)
-    third = commutant(StarAlgebra(
-        [QMatrix(b) for b in commutant(second).stack], n=2))
+    third = StarAlgebra([QMatrix(b) for b in second.commutant_basis().stack],
+                        n=2).commutant_basis()
     assert subspace_gap(first, third) <= 1e-8
 
 
@@ -648,7 +647,7 @@ def test_bicommutant_full_and_membership():
     rng = np.random.default_rng(4)
     n = 2
     algebra = StarAlgebra(sampling.plant_proper(rng, n))
-    bi = bicommutant(algebra)
+    bi = algebra.bicommutant_basis()
     assert bi.dim_r == 4 * n * n
     for g in algebra.generators:
         assert bi.membership_residual(g) <= 1e-9
@@ -667,7 +666,7 @@ def test_bicommutant_equals_generated_algebra():
     algebras.append(StarAlgebra(sampling.plant_proper(rng, 8)))
     algebras.append(StarAlgebra(sampling.plant_complex_induced(rng, 8)[0]))
     for algebra in algebras:
-        bi = bicommutant(algebra)
+        bi = algebra.bicommutant_basis()
         gen = generated_algebra(algebra)
         assert gen.dim_r == bi.dim_r
         assert subspace_gap(gen, bi) <= 1e-8
@@ -839,14 +838,33 @@ def test_witness_exists_iff_reducible():
     assert verdicts == {True, False}
 
 
+def commutant_artifacts(algebra: StarAlgebra) -> dict[str, np.ndarray]:
+    """The witness of a reducible algebra, or the J, I and K that
+    classify_irreducible recovers, as component arrays by name."""
+    if not is_irreducible(algebra):
+        return {"witness": reducibility_witness(algebra).data}
+    verdict = classify_irreducible(algebra)
+    return {name: op.data for name, op in (
+        ("J", verdict.J), ("I", verdict.I), ("K", verdict.K))
+        if op is not None}
+
+
+def assert_same_artifacts(first: dict, second: dict, tol: float):
+    assert first.keys() == second.keys()
+    for name in first:
+        assert np.linalg.norm(first[name] - second[name]) <= tol, name
+
+
 def test_witness_ignores_a_selfadjoint_row_on_the_identity():
-    """The selfadjoint rows may be any orthonormal basis of their span,
-    one of them I / sqrt(n) itself, whose only spectral projection is I:
-    the witness is taken from the row farthest from I."""
+    """The commutant rows may be any orthonormal basis of each block, one
+    selfadjoint row I / sqrt(n) itself, whose only spectral projection is
+    I.  The witness and J, I and K are projections of fixed matrices, so
+    they do not move when either block of rows is rotated."""
     rng = np.random.default_rng(10)
     for half in (1, 2, 3):
         algebra = block_diagonal_algebra(rng, half)
-        comm = commutant(algebra)
+        expected = reducibility_witness(algebra)
+        comm = algebra.commutant_basis()
         sym = comm.mat[:comm.selfadjoint]
         identity = vec(QMatrix.identity(algebra.n)) / np.sqrt(algebra.n)
         coords = np.column_stack([sym @ identity, rng.standard_normal(
@@ -857,7 +875,66 @@ def test_witness_ignores_a_selfadjoint_row_on_the_identity():
         algebra._commutant = CommutantBasis(
             np.concatenate([rotated, comm.mat[comm.selfadjoint:]]),
             selfadjoint=comm.selfadjoint)
-        assert_invariant_projection(reducibility_witness(algebra), algebra)
+        witness = reducibility_witness(algebra)
+        assert_invariant_projection(witness, algebra)
+        assert (witness - expected).frob() <= 1e-12
+    for n in (2, 3, 4, 8):
+        for gens in planted_generator_sets(rng, n)[1:]:
+            algebra = StarAlgebra(gens)
+            expected = commutant_artifacts(algebra)
+            comm = algebra.commutant_basis()
+            blocks = [comm.mat[:comm.selfadjoint], comm.mat[comm.selfadjoint:]]
+            rotations = [np.linalg.qr(rng.standard_normal((len(b), len(b))))[0]
+                         for b in blocks]
+            algebra._commutant = CommutantBasis(
+                np.concatenate([q.T @ b for q, b in zip(rotations, blocks)]),
+                selfadjoint=comm.selfadjoint)
+            assert_same_artifacts(commutant_artifacts(algebra), expected,
+                                  1e-12)
+
+
+def test_artifacts_agree_across_the_two_commutant_paths(monkeypatch):
+    """At n = 8 the commutant is certified in the eigenframe; with
+    DIAGONAL_SCREEN_MIN_N raised past 8 the eigh screen solves it, another
+    orthonormal basis of the same subspace.  Both give the same witness
+    and the same J, I and K."""
+    rng = np.random.default_rng(76)
+    for gens in planted_generator_sets(rng, 8)[1:]:
+        fast = StarAlgebra(gens)
+        _, certified = eigenframe_outcome(monkeypatch, fast.commutant_basis)
+        assert certified
+        monkeypatch.setattr(algebra_module, "DIAGONAL_SCREEN_MIN_N", 9)
+        slow = StarAlgebra(gens)
+        assert_same_artifacts(commutant_artifacts(fast),
+                              commutant_artifacts(slow), 1e-11)
+        assert subspace_gap(fast.commutant_basis(),
+                            slow.commutant_basis()) <= 1e-12
+        monkeypatch.undo()
+
+
+def test_witness_raises_on_a_probe_with_no_traceless_part(monkeypatch):
+    """With the identity as the probe, its projection onto the selfadjoint
+    commutant is I, which has one eigensphere: the witness raises rather
+    than return I or a projection of rounding noise."""
+    monkeypatch.setattr(algebra_module, "_probes", lambda n: np.tile(
+        vec(QMatrix.identity(n)), (2, 1)))
+    algebra = block_diagonal_algebra(np.random.default_rng(11), 2)
+    assert not is_irreducible(algebra)
+    with pytest.raises(InternalInconsistency, match="one eigensphere"):
+        reducibility_witness(algebra)
+
+
+@pytest.mark.parametrize("plant", ["complex", "real"])
+def test_classify_raises_on_a_probe_with_no_skew_part(monkeypatch, plant):
+    """A zero probe projects to a zero unit, which stays zero rather than
+    NaN and fails U^2 = -I: classify_irreducible raises."""
+    monkeypatch.setattr(algebra_module, "_probes",
+                        lambda n: np.zeros((2, 4 * n * n)))
+    rng = np.random.default_rng(12)
+    gens = (sampling.plant_complex_induced(rng, 3)[0] if plant == "complex"
+            else sampling.plant_real_induced(rng, 3)[0])
+    with pytest.raises(InternalInconsistency, match="U\\^2 = -I"):
+        classify_irreducible(StarAlgebra(gens))
 
 
 def svd_split_ranks(algebra: StarAlgebra) -> tuple[int, int]:
@@ -879,7 +956,7 @@ def svd_split_ranks(algebra: StarAlgebra) -> tuple[int, int]:
 def split_ranks(algebra: StarAlgebra) -> tuple[int, int]:
     """(traceless selfadjoint, skew) dimensions of the commutant, read off
     its selfadjoint-first rows."""
-    comm = commutant(algebra)
+    comm = algebra.commutant_basis()
     return comm.selfadjoint - 1, comm.dim_r - comm.selfadjoint
 
 
@@ -906,7 +983,7 @@ def test_split_ranks_on_planted_direct_sums(n):
         algebra = StarAlgebra([direct_sum(a, b)
                                for a, b in zip(first, second)])
         assert split_ranks(algebra) == expected
-        assert commutant(algebra).dim_r == 1 + sum(expected)
+        assert algebra.commutant_basis().dim_r == 1 + sum(expected)
         assert not is_irreducible(algebra)
         assert reducibility_witness(algebra) is not None
 
@@ -918,7 +995,7 @@ def test_adjoint_split_matches_svd_rule(c):
     or exactly skew, and I lies in the span of the selfadjoint rows."""
     for gens in coupled_sweep():
         algebra = StarAlgebra([g * c for g in gens])
-        comm = commutant(algebra)
+        comm = algebra.commutant_basis()
         assert svd_split_ranks(algebra) == split_ranks(algebra)
         adj = conj4(np.swapaxes(comm.stack, 1, 2))
         sym = comm.selfadjoint
@@ -953,12 +1030,12 @@ def test_verdicts_invariant_under_generator_scaling(n):
               sampling.plant_real_induced(rng, n)[0]]
     for gens in plants:
         algebra = StarAlgebra(gens)
-        expected = (commutant(algebra).dim_r, is_irreducible(algebra),
+        expected = (algebra.commutant_basis().dim_r, is_irreducible(algebra),
                     classify_irreducible(algebra).kind)
         for c in (1e-200, 1e-160, 1e-12, 1e-10, 1.0, 1e10, 1e12, 1e160,
                   1e200):
             scaled = StarAlgebra([g * c for g in gens])
-            verdict = (commutant(scaled).dim_r, is_irreducible(scaled),
+            verdict = (scaled.commutant_basis().dim_r, is_irreducible(scaled),
                        classify_irreducible(scaled).kind)
             assert verdict == expected, (c, verdict, expected)
 
@@ -1090,7 +1167,7 @@ def test_classify_real_induced_recovers_triple():
                 assert anti.frob() <= 1e-7
         assert (verdict.K - verdict.I @ verdict.J).frob() <= 1e-9
         # recovered span matches the planted one
-        comm = commutant(StarAlgebra(gens))
+        comm = StarAlgebra(gens).commutant_basis()
         for planted in (planted_i, planted_j):
             assert comm.membership_residual(planted) <= 1e-8
 
@@ -1184,4 +1261,4 @@ def test_star_algebra_json_roundtrip():
     algebra = StarAlgebra(sampling.plant_proper(rng, 2))
     clone = StarAlgebra.from_json(algebra.to_json())
     assert clone.n == algebra.n
-    assert commutant(clone).dim_r == commutant(algebra).dim_r
+    assert clone.commutant_basis().dim_r == algebra.commutant_basis().dim_r

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qreduce
-from qreduce import sampling
+from qreduce import algebra as algebra_module, sampling
 from qreduce.algebra import StarAlgebra
 from qreduce import cli
 from qreduce.cli import build_parser, main
@@ -187,6 +187,32 @@ def test_classify_malformed_file(tmp_path, capsys):
     path2.write_text(json.dumps({"n": 2, "generators": "nope"}))
     code, _, _ = run_cli(capsys, "classify", str(path2))
     assert code == 2
+
+
+@pytest.mark.parametrize("probe", ["identity", "zero"])
+def test_classify_reports_a_degenerate_probe(tmp_path, capsys, monkeypatch,
+                                             probe):
+    """With the identity as the probe a reducible file has no witness, and
+    with a zero probe a complex-induced file has no J: classify exits 1
+    with an InternalInconsistency report, not a traceback."""
+    rng = np.random.default_rng(9)
+    if probe == "identity":
+        data = np.zeros((2, 4, 4, 4))
+        data[:, :2, :2] = rng.standard_normal((2, 2, 2, 4))
+        data[:, 2:, 2:] = rng.standard_normal((2, 2, 2, 4))
+        gens = [QMatrix(g) for g in data]
+        probes = np.tile(QMatrix.identity(4).data.ravel(), (2, 1))
+    else:
+        gens, _ = sampling.plant_complex_induced(rng, 4)
+        probes = np.zeros((2, 64))
+    monkeypatch.setattr(algebra_module, "_probes", lambda n: probes)
+    path = _write_algebra(tmp_path, gens)
+    code, report, err = run_cli(capsys, "classify", str(path))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["error"] == "InternalInconsistency"
+    assert report["artifacts"] == {}
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["classify", "reduce"])
@@ -399,6 +425,10 @@ def _hostile_case(tmp_path, monkeypatch, case):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"n": 0, "generators": []}))
         return ["classify", str(path)]
+    if case.startswith("no_generators_"):
+        path = tmp_path / "no_generators.json"
+        path.write_text(json.dumps({"n": 2, "generators": []}))
+        return [case[len("no_generators_"):], str(path)]
     if case == "n_above_cap":
         path = tmp_path / "large.json"
         path.write_text(json.dumps({"n": 9, "generators": []}))
@@ -424,7 +454,8 @@ def _hostile_case(tmp_path, monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", [
-    "n_zero", "n_above_cap", "evolution_size", "tol_inf", "tol_nan",
+    "n_zero", "n_above_cap", "no_generators_classify",
+    "no_generators_reduce", "evolution_size", "tol_inf", "tol_nan",
     "tol_0", "tol_-1", "env_not_a_number", "axis_nan,0,0", "axis_inf,0,0",
     "output_unwritable", "dims_repeated", "seed_negative_verify",
     "seed_negative_demo"])
