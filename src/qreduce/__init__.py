@@ -7,9 +7,9 @@ commutant of an operator *-algebra, a real-linear nullspace, gives the
 R/C/H verdict (`algebra`); the H+ splitting and restriction (`functors`)
 reduce a complex-induced system to its component space, and a
 real-induced one carries a left multiplication built from its (I, J).
-Hamiltonian evolution and transition probabilities (`dynamics`) back the
-`demo` command and a `verify` property; the CLI (`cli`) drives the
-registered verification suites (`verify`).
+The flow of an anti-selfadjoint generator and transition probabilities
+(`dynamics`) back the `demo` command and a `verify` property; the CLI
+(`cli`) drives the registered verification suites (`verify`).
 """
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ from .qlinalg import (  # noqa: F401
     complex_unembed,
     inner,
     operator_norm,
-    outer,
     polar_antiselfadjoint,
 )
 from .functors import (  # noqa: F401
@@ -61,8 +60,4 @@ from .algebra import (  # noqa: F401
     is_irreducible,
     reduce_system,
 )
-from .dynamics import (  # noqa: F401
-    Hamiltonian,
-    evolve,
-    transition_probs,
-)
+from .dynamics import transition_probs  # noqa: F401

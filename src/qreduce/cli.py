@@ -42,7 +42,7 @@ from .algebra import (
     reduce_system,
     reducibility_witness,
 )
-from .dynamics import Hamiltonian, evolution_trace, transition_probs
+from .dynamics import evolution_trace, transition_probs
 from .errors import QReduceError
 from .functors import split_plus_minus
 from .qlinalg import (
@@ -308,7 +308,7 @@ def _demo_adler(seed: int) -> tuple[list[Check], dict]:
     frame = space.frame
     jq = frame.j.as_quaternion()
     skew = (gens[0] - gens[0].H) * 0.5
-    hamiltonian = Hamiltonian(skew * (1.0 / max(skew.frob(), 1e-12)), frame)
+    skew = skew * (1.0 / max(skew.frob(), 1e-12))
 
     rows = []
     checks = []
@@ -337,7 +337,7 @@ def _demo_adler(seed: int) -> tuple[list[Check], dict]:
     start = space.basis @ QVector.from_complex(
         rng.standard_normal(n) + 1j * rng.standard_normal(n), frame)
     start = start * (1.0 / start.norm())
-    trace = evolution_trace(hamiltonian, start, [0.0, 0.5, 1.0, 1.5, 2.0])
+    trace = evolution_trace(skew, start, [0.0, 0.5, 1.0, 1.5, 2.0])
     worst_norm = max_residual(*(abs(x - 1.0) for x in trace["norms"]))
     checks.append(Check("adler_trace_unitarity", worst_norm, 1e-9))
     return checks, {"which": "adler", "seed": seed, "table": rows,

@@ -1,56 +1,20 @@
-"""Dynamics of anti-selfadjoint Hamiltonians and the component-space
+"""Dynamics of anti-selfadjoint generators and the component-space
 comparison of transition probabilities.
 
-The flow is f(t) = exp(-t H) v for an anti-selfadjoint H, computed through
-the complex embedding.
+The flow of an anti-selfadjoint H is f(t) = exp(-t H) v, the one
+exponential `expm_antiselfadjoint(H * -t)` applied to v.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NormalizationError
-from .qlinalg import (
-    QMatrix,
-    QVector,
-    complex_embed,
-    embed_vector,
-    expm_antihermitian,
-    inner,
-    polar_antiselfadjoint,
-    require_antiselfadjoint,
-    unembed_vector,
-)
+from .qlinalg import QMatrix, QVector, expm_antiselfadjoint, inner
 from .quat import Frame, STANDARD_FRAME, symplectic_split
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Anti-selfadjoint generator of a unitary one-parameter group."""
-
-    mat: QMatrix
-    frame: Frame = STANDARD_FRAME
-
-    def __post_init__(self):
-        require_antiselfadjoint(self.mat, "Hamiltonian")
-
-    @property
-    def n(self) -> int:
-        return self.mat.n
-
-    def polar_factors(self) -> tuple[QMatrix, QMatrix]:
-        """Unitary anti-selfadjoint factor and modulus, H = J_H |H|."""
-        return polar_antiselfadjoint(self.mat, self.frame)
-
-
-def evolve(h: Hamiltonian, v: QVector, t: float) -> QVector:
-    """f(t) = exp(-t H) v, computed through the complex embedding."""
-    propagator = expm_antihermitian(-t * complex_embed(h.mat, h.frame))
-    return unembed_vector(propagator @ embed_vector(v, h.frame), h.frame)
-
-
-def evolution_trace(h: Hamiltonian, v: QVector, times) -> dict:
-    """Sampled trajectory in the wire format {"t", "states", "norms"}."""
-    states = [evolve(h, v, float(t)) for t in times]
+def evolution_trace(h: QMatrix, v: QVector, times) -> dict:
+    """Trajectory exp(-t H) v of the anti-selfadjoint H sampled at `times`,
+    in the wire format {"t", "states", "norms"}."""
+    states = [expm_antiselfadjoint(h * -float(t)) @ v for t in times]
     return {
         "t": [float(t) for t in times],
         "states": [s.to_json() for s in states],

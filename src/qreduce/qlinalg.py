@@ -7,9 +7,7 @@ Spectral work is routed through the complex embedding
     chi(T) = [[T1, T2], [-conj(T2), conj(T1)]],   T = T1 + T2*j entrywise,
 
 an injective *-homomorphism into the 2n x 2n complex matrices; mature
-complex eigensolvers then do the heavy lifting.  The corresponding
-vector embedding is psi(v) = (v1; -conj(v2)), for which
-chi(T) psi(v) = psi(Tv) and <psi(v), psi(u)> is the complex part of <v, u>.
+complex eigensolvers then do the heavy lifting.
 """
 from __future__ import annotations
 
@@ -21,6 +19,7 @@ from .errors import (
     DimensionError,
     NotAntiSelfAdjoint,
     NotInImage,
+    StructureError,
 )
 from .quat import (
     Frame,
@@ -208,11 +207,6 @@ def inner(v: QVector, u: QVector) -> Quaternion:
     return Quaternion.from_array(mul4(conj4(v.data), u.data).sum(axis=0))
 
 
-def outer(u: QVector, v: QVector) -> QMatrix:
-    """Rank-one right-linear operator w -> u * <v, w>."""
-    return QMatrix(mul4(u.data[:, None, :], conj4(v.data)[None, :, :]))
-
-
 def commutator_norm(a: QMatrix, b: QMatrix) -> float:
     return (a @ b - b @ a).frob()
 
@@ -287,7 +281,7 @@ def block_symmetry_residual(mat: np.ndarray) -> float | np.ndarray:
     return float(residual) if mat.ndim == 2 else residual
 
 
-def _unembedded_data(mat: np.ndarray, frame: Frame) -> np.ndarray:
+def _unembedded_data(mat: np.ndarray) -> np.ndarray:
     """Component array of the quaternionic matrix whose embedding has the
     symmetric part of the blocks of mat, a 2n x 2n complex matrix or a
     (k, 2n, 2n) stack of them, so roundoff-level violations of the block
@@ -295,11 +289,10 @@ def _unembedded_data(mat: np.ndarray, frame: Frame) -> np.ndarray:
     n = mat.shape[-1] // 2
     t1 = 0.5 * (mat[..., :n, :n] + mat[..., n:, n:].conj())
     t2 = 0.5 * (mat[..., :n, n:] - mat[..., n:, :n].conj())
-    return symplectic_join(t1, t2, frame)
+    return symplectic_join(t1, t2, STANDARD_FRAME)
 
 
-def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
-                    tol: float = DEFAULT_TOL) -> QMatrix:
+def complex_unembed(mat: np.ndarray, tol: float = DEFAULT_TOL) -> QMatrix:
     """Left inverse of :func:`complex_embed`.
 
     Raises NotInImage when the block symmetry is violated beyond
@@ -311,21 +304,7 @@ def complex_unembed(mat: np.ndarray, frame: Frame = STANDARD_FRAME,
     residual = relative_residual(block_symmetry_residual, mat)
     if not residual <= tol:
         raise NotInImage(residual)
-    return QMatrix(_unembedded_data(mat, frame))
-
-
-def embed_vector(v: QVector, frame: Frame = STANDARD_FRAME) -> np.ndarray:
-    """psi(v) = (v1; -conj(v2)) in C^(2n) for the split v = v1 + v2*j;
-    satisfies chi(T) psi(v) = psi(Tv)."""
-    v1, v2 = symplectic_split(v.data, frame)
-    return np.concatenate([v1, -v2.conj()])
-
-
-def unembed_vector(c: np.ndarray, frame: Frame = STANDARD_FRAME) -> QVector:
-    """Inverse of :func:`embed_vector`."""
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    n = c.size // 2
-    return QVector(symplectic_join(c[:n], -c[n:].conj(), frame))
+    return QMatrix(_unembedded_data(mat))
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> dict:
@@ -400,7 +379,7 @@ def spectral_projections(t: QMatrix) -> list[tuple[float, QMatrix]]:
         raise NotInImage(residual)
     return [(float(block_vals.mean()), QMatrix(data))
             for block_vals, data in zip(
-                np.split(vals, cuts), _unembedded_data(projs, STANDARD_FRAME))]
+                np.split(vals, cuts), _unembedded_data(projs))]
 
 
 # ---------------------------------------------------------------------------
@@ -418,41 +397,31 @@ def require_antiselfadjoint(a: QMatrix, what: str) -> None:
             f"{what} must be anti-selfadjoint (relative residual {res:.2e})")
 
 
-def polar_antiselfadjoint(a: QMatrix, frame: Frame = STANDARD_FRAME
-                          ) -> tuple[QMatrix, QMatrix]:
-    """Factor A = J * M with M = |A| positive and J a unitary anti-selfadjoint
-    square root of -I commuting with M.
+def polar_antiselfadjoint(a: QMatrix) -> tuple[QMatrix, QMatrix]:
+    """Factor an invertible anti-selfadjoint A = J * M with M = |A| positive
+    and J a unitary anti-selfadjoint square root of -I commuting with M.
 
     Both factors are read off the one `eigh` of chi(A)/i = V diag(lam) V*:
-    M = V diag(|lam|) V*, and on the range of A, J = V diag(i sign lam) V*
-    is the sign of the spectrum, the factor that A = J M forces there.  An
-    eigenvalue is in the kernel when |lam| <= DEFAULT_TOL max |lam|, a cut
-    relative to the spectrum, so J is the same at every scale of A.  On the
-    kernel, with projector P, J is right multiplication by frame.i on an
-    orthonormal basis B picked from P column by column: each pick is the
-    column of (I - BB*)P of largest norm, at least sqrt((k - j)/n) after j
-    of the k picks, so no second cut decides anything.  J is therefore a
-    function of A and the frame, unitary with J^2 = -I.
+    M = V diag(|lam|) V* and J = V diag(i sign lam) V*, the sign of the
+    spectrum, which A = J M forces.  J is unique only when A is invertible.
+    A has a kernel when some |lam| <= DEFAULT_TOL max |lam|, a cut relative
+    to the spectrum, and then StructureError names the kernel's
+    quaternionic dimension.  So J(cA) = J(A) and J(U A U*) = U J(A) U* for
+    every scale c and every unitary U.
     """
     require_antiselfadjoint(a, "polar decomposition input")
-    chi = complex_embed(a, frame)
+    chi = complex_embed(a)
     vals, vecs = np.linalg.eigh((chi - chi.conj().T) / 2j)
-    kernel = np.abs(vals) <= DEFAULT_TOL * np.abs(vals).max(initial=0.0)
-    modulus = complex_unembed((vecs * np.abs(vals)) @ vecs.conj().T, frame,
-                              tol=1e-8)
-    ranged = vecs[:, ~kernel]
-    j_op = complex_unembed((ranged * (1j * np.sign(vals[~kernel])))
-                           @ ranged.conj().T, frame, tol=1e-8)
-    if kernel.any():
-        rest = complex_unembed(vecs[:, kernel] @ vecs[:, kernel].conj().T,
-                               frame, tol=1e-8)
-        iq = frame.i.as_quaternion()
-        for _ in range(int(kernel.sum()) // 2):
-            col = rest.column(int(np.argmax(
-                np.linalg.norm(rest.data, axis=(0, 2)))))
-            b = col * (1.0 / col.norm())
-            rest = rest - outer(b, b) @ rest
-            j_op = j_op + outer(b * iq, b)
+    kernel = int(np.count_nonzero(
+        np.abs(vals) <= DEFAULT_TOL * np.abs(vals).max(initial=0.0)))
+    if kernel:
+        raise StructureError(
+            f"polar decomposition input has a kernel of quaternionic "
+            f"dimension {(kernel + 1) // 2}, so its unitary factor is not "
+            f"unique")
+    modulus = complex_unembed((vecs * np.abs(vals)) @ vecs.conj().T, tol=1e-8)
+    j_op = complex_unembed((vecs * (1j * np.sign(vals))) @ vecs.conj().T,
+                           tol=1e-8)
     return j_op, modulus
 
 

@@ -155,12 +155,19 @@ class ImaginaryUnit:
 
     @classmethod
     def from_vector(cls, v) -> "ImaginaryUnit":
-        """Normalize an arbitrary nonzero finite 3-vector into a unit."""
+        """Normalize an arbitrary nonzero finite 3-vector into a unit.
+
+        The vector is first scaled by the power of two that puts its
+        largest entry in [1/2, 1), as qlinalg.binary_scaled does, so its
+        norm neither overflows nor underflows; the scaling is exact, so
+        it leaves the direction of a normal-range vector unchanged."""
         v = np.asarray(v, dtype=float).reshape(3)
-        n = np.linalg.norm(v)
-        if not 0.0 < n < math.inf:
-            raise StructureError(f"vector of norm {n!r} has no direction")
-        return cls(v / n)
+        peak = float(np.abs(v).max())
+        if not 0.0 < peak < math.inf:      # also rejects NaN
+            raise StructureError(f"vector with largest |entry| {peak!r} has "
+                                 f"no direction")
+        v = np.ldexp(v, -math.frexp(peak)[1])
+        return cls(v / np.linalg.norm(v))
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0.0, *self.direction)

@@ -357,8 +357,6 @@ def _planted_verdict(gens, commutant_dim, kind):
 
 
 def _trichotomy_trial(rng, n, index):
-    if n < 2:
-        return []
     failures = 0
     gap_j = gap_ijk = 0.0
     if _planted_verdict(sampling.plant_proper(rng, n), 1,

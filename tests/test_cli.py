@@ -12,7 +12,7 @@ import pytest
 import qreduce
 from qreduce import algebra as algebra_module, sampling
 from qreduce.algebra import StarAlgebra
-from qreduce import cli
+from qreduce import cli, verify
 from qreduce.cli import build_parser, main
 from qreduce.qlinalg import QMatrix
 
@@ -50,13 +50,25 @@ def test_verify_rejects_bad_dims(capsys):
     assert code == 2
 
 
-def test_verify_fails_property_without_checks(capsys):
+def test_verify_fails_property_without_checks(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "PROPERTIES", verify.PROPERTIES + [
+        ("empty", lambda seeds, dims, trials: [])])
     code, report, _ = run_cli(capsys, "verify", "--seed", "1", "--dims", "1",
                               "--trials", "2")
     assert code == 1
     assert report["status"] == "fail"
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
-    assert failed == ["trichotomy/no_checks"]
+    assert failed == ["empty/no_checks"]
+
+
+def test_verify_passes_at_dimension_1(capsys):
+    """Every property runs checks at n = 1, the trichotomy included."""
+    code, report, err = run_cli(capsys, "verify", "--seed", "42", "--dims",
+                                "1", "--trials", "10")
+    assert code == 0
+    assert report["status"] == "pass"
+    assert any(c["name"].startswith("trichotomy/") for c in report["checks"])
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -330,6 +342,21 @@ def test_reduce_error_report_on_stdout_and_output(tmp_path, capsys, kind):
     assert report["status"] == "error"
     assert report["error"] == kind
     assert report["checks"] == [] and report["artifacts"] == {}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reduce_axis_whose_norm_overflows(tmp_path, capsys):
+    """--i-axis 1e200,1e200,0 names the unit (1, 1, 0)/sqrt 2: its norm
+    overflows, its direction does not."""
+    gens, _ = sampling.plant_complex_induced(np.random.default_rng(6), 2)
+    path = _write_algebra(tmp_path, gens)
+    code, report, err = run_cli(capsys, "reduce", str(path), "--i-axis",
+                                "1e200,1e200,0")
+    assert code == 0
+    assert report["status"] == "pass"
+    np.testing.assert_allclose(report["artifacts"]["split_space"]["i"],
+                               [2 ** -0.5, 2 ** -0.5, 0.0], rtol=1e-15)
+    assert "Traceback" not in err
 
 
 def test_reduce_with_explicit_evolution_and_axis(tmp_path, capsys):

@@ -1,40 +1,43 @@
-"""Tests for evolution, polar factors and transition probabilities."""
+"""Tests for the flow of anti-selfadjoint generators and transition
+probabilities."""
 
 import numpy as np
 import pytest
 
 from qreduce import sampling
-from qreduce.dynamics import (
-    Hamiltonian,
-    evolve,
-    transition_probs,
-)
+from qreduce.dynamics import evolution_trace, transition_probs
 from qreduce.errors import NormalizationError, StructureError
 from qreduce.functors import split_plus_minus
-from qreduce.qlinalg import QMatrix, QVector, commutator_norm, expm_antiselfadjoint
+from qreduce.qlinalg import QMatrix, QVector, expm_antiselfadjoint
 from qreduce.quat import E1, E2, Quaternion, UNIT_E1
 
 
+def _flow(h, v, t):
+    return expm_antiselfadjoint(h * -t) @ v
+
+
 def test_hamiltonian_requires_antiselfadjoint():
+    v = QVector(np.ones((2, 4)))
     with pytest.raises(StructureError):
-        Hamiltonian(QMatrix.identity(2))
+        evolution_trace(QMatrix.identity(2), v, [0.5])
     with pytest.raises(StructureError):
-        Hamiltonian(QMatrix.identity(2) * 1e200)
+        evolution_trace(QMatrix.identity(2) * 1e200, v, [0.5])
 
 
 def test_evolve_zero_hamiltonian():
     rng = np.random.default_rng(0)
-    h = Hamiltonian(QMatrix.zeros(3))
     v = sampling.qvector(rng, 3)
-    for t in (0.0, 0.7, -2.5):
-        assert (evolve(h, v, t) - v).norm() <= 1e-12
+    trace = evolution_trace(QMatrix.zeros(3), v, (0.0, 0.7, -2.5))
+    assert trace["t"] == [0.0, 0.7, -2.5]
+    for state in trace["states"]:
+        assert (QVector.from_json(state) - v).norm() <= 1e-12
 
 
 def test_evolve_scalar_closed_form():
-    h = Hamiltonian(QMatrix.diag([E1]))
+    h = QMatrix.diag([E1])
     v = QVector(Quaternion(1.0).as_array()[None, :])
     for t in (0.3, 1.2, -0.8):
-        got = evolve(h, v, t)
+        got = _flow(h, v, t)
         want = Quaternion(np.cos(t)) - E1 * np.sin(t)
         assert abs(Quaternion.from_array(got.data[0]) - want) <= 1e-12
 
@@ -43,31 +46,26 @@ def test_evolve_unitarity_and_group_law():
     rng = np.random.default_rng(1)
     for _ in range(25):
         n = int(rng.integers(1, 5))
-        h = Hamiltonian(sampling.antiselfadjoint(rng, n))
+        h = sampling.antiselfadjoint(rng, n)
         v = sampling.qvector(rng, n)
         s, t = rng.uniform(-10, 10, size=2)
-        assert abs(evolve(h, v, t).norm() - v.norm()) <= 1e-9 * max(1.0, v.norm())
-        two_step = evolve(h, evolve(h, v, s), t)
-        one_step = evolve(h, v, s + t)
+        assert abs(_flow(h, v, t).norm() - v.norm()) <= 1e-9 * max(1.0, v.norm())
+        two_step = _flow(h, _flow(h, v, s), t)
+        one_step = _flow(h, v, s + t)
         assert (two_step - one_step).norm() <= 1e-9 * max(1.0, v.norm())
 
 
 def test_evolution_operator_matches_vector_path():
+    """The trace samples exp(-t H) v, and its norms are the states'."""
     rng = np.random.default_rng(2)
     n = 3
-    h = Hamiltonian(sampling.antiselfadjoint(rng, n))
-    u = expm_antiselfadjoint(h.mat * -0.9)
+    h = sampling.antiselfadjoint(rng, n)
     v = sampling.qvector(rng, n)
-    assert ((u @ v) - evolve(h, v, 0.9)).norm() <= 1e-10
-
-
-def test_polar_factors_commute():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        h = Hamiltonian(sampling.antiselfadjoint(rng, 3))
-        j_factor, modulus = h.polar_factors()
-        assert (j_factor @ modulus - h.mat).frob() <= 1e-9 * max(1.0, h.mat.frob())
-        assert commutator_norm(j_factor, modulus) <= 1e-9 * max(1.0, h.mat.frob())
+    trace = evolution_trace(h, v, [0.9, -0.4])
+    for t, state, norm in zip(trace["t"], trace["states"], trace["norms"]):
+        u = expm_antiselfadjoint(h * -t)
+        assert ((u @ v) - QVector.from_json(state)).norm() <= 1e-10
+        assert norm == QVector.from_json(state).norm()
 
 
 def test_transition_probs_identities():

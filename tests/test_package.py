@@ -17,7 +17,7 @@ from qreduce.algebra import StarAlgebra
 # every system, the isotypic decomposition) are expected to call them.  The
 # guard below fails when one of them gains a caller, so the set can only
 # shrink.
-AWAITING_CALLERS = {"center", "Hamiltonian.polar_factors"}
+AWAITING_CALLERS = {"center"}
 # Methods whose callers live outside the package's own code: the JSON
 # round trips (the wire format) and argparse's error hook.
 EXTERNAL_CALLERS = {"to_json", "from_json", "_Parser.error"}

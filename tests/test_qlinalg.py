@@ -24,22 +24,21 @@ from qreduce.qlinalg import (
     commutator_norm,
     complex_embed,
     complex_unembed,
-    embed_vector,
     expm_antihermitian,
     expm_antiselfadjoint,
     inner,
     operator_norm,
-    outer,
     polar_antiselfadjoint,
     spectral_projections,
-    unembed_vector,
 )
 from qreduce.quat import (
     E1,
     E2,
     Quaternion,
     STANDARD_FRAME,
+    conj4,
     frame_complete,
+    mul4,
 )
 
 
@@ -184,9 +183,8 @@ def test_unembed_roundtrip_and_rejection():
     rng = np.random.default_rng(5)
     for _ in range(30):
         n = int(rng.integers(1, 5))
-        f = frame_complete(sampling.imaginary_unit(rng))
         t = sampling.qmatrix(rng, n)
-        back = complex_unembed(complex_embed(t, f), f)
+        back = complex_unembed(complex_embed(t))
         np.testing.assert_allclose(back.data, t.data, atol=1e-12)
     with pytest.raises(NotInImage):
         complex_unembed(np.array([[1, 0], [0, 2]], dtype=complex))
@@ -211,24 +209,6 @@ def test_unembed_rejects_at_every_scale():
     for scale in (1.0, 1e-11, 1e-300):
         with pytest.raises(NotInImage):
             complex_unembed(mat * scale)
-
-
-def test_vector_embedding_intertwines():
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        n = int(rng.integers(1, 5))
-        f = frame_complete(sampling.imaginary_unit(rng))
-        t = sampling.qmatrix(rng, n)
-        v = sampling.qvector(rng, n)
-        lhs = complex_embed(t, f) @ embed_vector(v, f)
-        rhs = embed_vector(t @ v, f)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-11)
-        back = unembed_vector(embed_vector(v, f), f)
-        np.testing.assert_allclose(back.data, v.data, atol=1e-13)
-        # complex part of the inner product survives the embedding
-        q = inner(v, v)
-        assert np.vdot(embed_vector(v, f), embed_vector(v, f)).real == pytest.approx(
-            q.w, rel=1e-12)
 
 
 def test_operator_norm():
@@ -256,7 +236,8 @@ def test_classify_operator_flags():
 
     rng = np.random.default_rng(8)
     v = sampling.unit_qvector(rng, 3)
-    flags = classify_operator(outer(v, v))
+    flags = classify_operator(
+        QMatrix(mul4(v.data[:, None, :], conj4(v.data)[None, :, :])))
     assert flags.selfadjoint and flags.normal and flags.projection
     assert not flags.unitary
 
@@ -327,16 +308,6 @@ def test_polar_antiselfadjoint_diagonal_example():
     np.testing.assert_allclose(j.data, QMatrix.diag([E1, E2]).data, atol=1e-9)
 
 
-def test_polar_antiselfadjoint_kernel_completion():
-    a = QMatrix.diag([E1, Quaternion()])
-    j, m = polar_antiselfadjoint(a)
-    np.testing.assert_allclose(
-        m.data, QMatrix.diag([Quaternion(1.0), Quaternion()]).data, atol=1e-9)
-    np.testing.assert_allclose(j.data, QMatrix.diag([E1, E1]).data, atol=1e-9)
-    ident = QMatrix.identity(2)
-    assert (j @ j + ident).frob() <= 1e-9
-
-
 def test_polar_antiselfadjoint_postconditions_random():
     rng = np.random.default_rng(12)
     for _ in range(60):
@@ -371,22 +342,37 @@ def test_polar_antiselfadjoint_invariant_under_scaling():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_polar_antiselfadjoint_kernel_is_a_function_of_a():
-    """On a singular A the kernel basis is picked from the kernel projector,
-    not from the eigensolver's basis, so scaling A or conjugating it there
-    and back leaves J unchanged."""
+def test_polar_antiselfadjoint_covariant_under_conjugation():
+    """On an invertible A, J is the sign of the spectrum: a unitary
+    conjugation moves it with A, and no scale c changes it."""
     rng = np.random.default_rng(19)
-    for _ in range(10):
-        units = [sampling.imaginary_unit(rng).as_quaternion() * (1.0 + k)
-                 for k in range(2)]
-        u = sampling.unitary(rng, 4)
-        a = u @ QMatrix.diag(units + [Quaternion(), Quaternion()]) @ u.H
-        a = (a - a.H) * 0.5
-        j, _ = polar_antiselfadjoint(a)
-        v = sampling.unitary(rng, 4)
-        for other in (a * 3.0, v.H @ (v @ a @ v.H) @ v):
-            assert (polar_antiselfadjoint(other)[0] - j).frob() <= 1e-12
-        assert (j @ j + QMatrix.identity(4)).frob() <= 1e-12
+    for n in (1, 2, 3, 4, 8):
+        for _ in range(4):
+            a = sampling.antiselfadjoint(rng, n)
+            u = sampling.unitary(rng, n)
+            j, _ = polar_antiselfadjoint(a)
+            conjugated = u @ a @ u.H
+            for c in (1e-150, 1.0, 1e150):
+                jc, _ = polar_antiselfadjoint(conjugated * c)
+                assert (jc - u @ j @ u.H).frob() <= 1e-12, (n, c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_polar_antiselfadjoint_raises_on_a_kernel():
+    """J is not unique on a singular A, so every kernel dimension raises,
+    named in the message, at every scale and after a conjugation."""
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 4, 8):
+        units = [sampling.imaginary_unit(rng).as_quaternion() * (1.0 + m)
+                 for m in range(n)]
+        u = sampling.unitary(rng, n)
+        for k in range(1, n + 1):
+            a = u @ QMatrix.diag(units[k:] + [Quaternion()] * k) @ u.H
+            a = (a - a.H) * 0.5
+            for c in (1e-150, 1.0, 1e150):
+                with pytest.raises(StructureError,
+                                   match=f"quaternionic dimension {k},"):
+                    polar_antiselfadjoint(a * c)
 
 
 def test_polar_invertible_reproduces_input():
@@ -450,15 +436,6 @@ def test_expm_rejects_non_antiselfadjoint():
         expm_antiselfadjoint(QMatrix.identity(2) * 1e200)
     with pytest.raises(StructureError):
         expm_antiselfadjoint(QMatrix(np.full((2, 2, 4), np.nan)))
-
-
-def test_outer_is_rank_one_projection_builder():
-    rng = np.random.default_rng(15)
-    v = sampling.unit_qvector(rng, 3)
-    p = outer(v, v)
-    flags = classify_operator(p, tol=1e-9)
-    assert flags.projection
-    assert abs(p.trace().w - 1.0) <= 1e-12
 
 
 def test_json_roundtrips():

@@ -294,6 +294,28 @@ def test_frame_complete_anticommutation():
         assert abs(float(f.i.direction @ f.j.direction)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unit_from_vector_at_any_scale():
+    """The direction of a vector whose norm over- or underflows is that of
+    its normal-range multiple, and a normal-range vector keeps the bits of
+    v / |v|; zero, NaN and inf have no direction."""
+    for v, want in (([1e200, 1e200, 0.0], [2 ** -0.5, 2 ** -0.5, 0.0]),
+                    ([1e-200, 1e-200, 0.0], [2 ** -0.5, 2 ** -0.5, 0.0]),
+                    ([3e-310, 4e-310, 0.0], [0.6, 0.8, 0.0]),
+                    ([0.0, 0.0, -5e-324], [0.0, 0.0, -1.0])):
+        got = ImaginaryUnit.from_vector(v).direction
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        v = rng.standard_normal(3) * 10.0 ** rng.uniform(-150, 150)
+        np.testing.assert_array_equal(ImaginaryUnit.from_vector(v).direction,
+                                      v / np.linalg.norm(v))
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0],
+                [1.0, -np.inf, 0.0]):
+        with pytest.raises(StructureError):
+            ImaginaryUnit.from_vector(bad)
+
+
 def test_invalid_frame_rejected():
     with pytest.raises(StructureError):
         Frame(ImaginaryUnit(np.array([1.0, 0, 0])),
